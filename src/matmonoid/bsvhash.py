@@ -8,12 +8,13 @@ the horizon comes straight from the exact maximal-entry sequence.
 """
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from itertools import chain
+from typing import Iterable
 
-from .errors import InvalidParams, LimitExceeded
+from .errors import InvalidParams, LimitExceeded, enum_limit
 from .extremal import collision_horizon
 from .matrix import MonoidParams
 
@@ -39,7 +40,12 @@ __all__ = [
 # states; refuse past this many rather than running away. Overridable via
 # the same environment knob as row enumeration.
 DEFAULT_COLLISION_LIMIT = 2**22
-ENUM_LIMIT_ENV = "MATMONOID_ENUM_LIMIT"
+
+# The bits of each byte value, most significant first.
+_BYTE_BITS = tuple(tuple(byte >> k & 1 for k in range(7, -1, -1)) for byte in range(256))
+# Bit values 0/1 to the digit characters "0"/"1", and back.
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -159,8 +165,51 @@ class HashState:
         return self
 
     def update(self, bits: Iterable[int]) -> "HashState":
+        """Consume bits in order; a list or tuple of 0/1 goes a byte at a time."""
+        if type(bits) in (list, tuple):
+            try:
+                raw = bytes(bits)
+            except (TypeError, ValueError):
+                raw = None
+            # Anything but 0/1 elements takes the per-bit path, which
+            # raises at the first bad element with the same partial state.
+            if raw is not None and not raw.strip(b"\x00\x01"):
+                return self._update_digits(raw.translate(_BITS_TO_DIGITS))
         for bit in bits:
             self.update_bit(bit)
+        return self
+
+    def update_bytes(self, data: bytes) -> "HashState":
+        """Consume whole bytes, most significant bit first.
+
+        Equal to update(bits_from_bytes_msb(data)): the hash is a monoid
+        homomorphism, so each byte's eight shear steps are one
+        precomputed matrix, applied as a single 2x2 product mod p.
+        """
+        p = self.params.p
+        a, b, c, d = self.a, self.b, self.c, self.d
+        for e, f, g, h in map(_byte_table(self.params).__getitem__, data):
+            a, b, c, d = (
+                (a * e + b * g) % p,
+                (a * f + b * h) % p,
+                (c * e + d * g) % p,
+                (c * f + d * h) % p,
+            )
+        self.a, self.b, self.c, self.d = a, b, c, d
+        self.bits_consumed += 8 * len(data)
+        return self
+
+    def _update_digits(self, digits: str | bytes) -> "HashState":
+        """Consume '0'/'1' digits: whole bytes by table, then the rest bit by bit.
+
+        Callers check that digits holds nothing else; int() would also
+        accept signs, underscores, whitespace and non-ASCII digits.
+        """
+        k = len(digits) % 8
+        value = int(digits, 2) if digits else 0
+        self.update_bytes((value >> k).to_bytes(len(digits) // 8, "big"))
+        for i in range(k - 1, -1, -1):
+            self.update_bit(value >> i & 1)
         return self
 
     def digest(self) -> Digest:
@@ -184,42 +233,40 @@ def update_bit(state: HashState, bit: int) -> HashState:
     return state.update_bit(bit)
 
 
-def _as_bits(bits: Iterable[int] | str) -> Iterator[int]:
-    if isinstance(bits, str):
-        for ch in bits:
-            if ch == "0":
-                yield 0
-            elif ch == "1":
-                yield 1
-            else:
-                raise ValueError(f"bit strings may only contain '0'/'1', got {ch!r}")
-    else:
-        yield from bits
+@lru_cache(maxsize=64)
+def _byte_table(params: HashParams) -> tuple[tuple[int, int, int, int], ...]:
+    """The hash of every 8-bit word mod p, indexed by its byte value."""
+    states = [HashState(params)]
+    for _ in range(8):
+        states = [s.copy().update_bit(bit) for s in states for bit in (0, 1)]
+    return tuple((s.a, s.b, s.c, s.d) for s in states)
 
 
 def hash_string(params: HashParams, bits: Iterable[int] | str) -> Digest:
     """One-shot hash of a bit sequence ('0'/'1' string or ints)."""
-    return init(params).update(_as_bits(bits)).digest()
+    if not isinstance(bits, str):
+        return init(params).update(bits).digest()
+    bad = bits.lstrip("01")
+    if bad:
+        raise ValueError(f"bit strings may only contain '0'/'1', got {bad[0]!r}")
+    return init(params)._update_digits(bits).digest()
 
 
 def bits_from_ascii01(text: str) -> list[int]:
     """Bits from literal '0'/'1' characters; whitespace is ignored."""
-    bits = []
-    for ch in text:
-        if ch == "0":
-            bits.append(0)
-        elif ch == "1":
-            bits.append(1)
-        elif not ch.isspace():
-            raise ValueError(
-                f"invalid character {ch!r}; expected '0', '1', or whitespace"
-            )
-    return bits
+    # str.split() drops exactly the characters for which str.isspace() holds.
+    digits = "".join(text.split())
+    bad = digits.lstrip("01")
+    if bad:
+        raise ValueError(
+            f"invalid character {bad[0]!r}; expected '0', '1', or whitespace"
+        )
+    return list(digits.encode("ascii").translate(_DIGITS_TO_BITS))
 
 
 def bits_from_bytes_msb(data: bytes) -> list[int]:
     """Bits of a byte string, most significant bit of each byte first."""
-    return [byte >> k & 1 for byte in data for k in range(7, -1, -1)]
+    return list(chain.from_iterable(map(_BYTE_BITS.__getitem__, data)))
 
 
 def serialize(d: Digest, params: HashParams) -> bytes:
@@ -258,20 +305,6 @@ def bound_n0(params: HashParams) -> int:
     return collision_horizon(params.monoid_params, params.p)
 
 
-def _enum_limit(limit: int | None) -> int:
-    if limit is not None:
-        return limit
-    env = os.environ.get(ENUM_LIMIT_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise LimitExceeded(
-                f"{ENUM_LIMIT_ENV} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_COLLISION_LIMIT
-
-
 def exhaustive_collision_check(
     params: HashParams, max_len: int, limit: int | None = None
 ) -> tuple[str, str] | None:
@@ -284,7 +317,7 @@ def exhaustive_collision_check(
     """
     if not isinstance(max_len, int) or max_len < 0:
         raise InvalidParams(f"max_len must be a nonnegative integer, got {max_len!r}")
-    cap = _enum_limit(limit)
+    cap = enum_limit(limit, DEFAULT_COLLISION_LIMIT)
     if 1 << (max_len + 1) > cap:
         raise LimitExceeded(
             f"max_len {max_len} needs {(1 << (max_len + 1)) - 1} states, "
@@ -292,18 +325,24 @@ def exhaustive_collision_check(
         )
     u, v, p = params.u, params.v, params.p
     root = (1 % p, 0, 0, 1 % p)
-    seen = {root: ""}
-    level = [("", root)]
-    for _ in range(max_len):
+    # A state's value is its string's shortlex code, (1 << length) | index,
+    # which bin(code)[3:] turns back into the string.
+    seen = {root: 1}
+    level = [root]
+    for length in range(1, max_len + 1):
+        code = 1 << length
+        last = length == max_len
         nxt = []
-        for s, (a, b, c, d) in level:
-            child0 = (s + "0", ((a + u * b) % p, b, (c + u * d) % p, d))
-            child1 = (s + "1", (a, (b + v * a) % p, c, (d + v * c) % p))
-            for child in (child0, child1):
-                word, key = child
-                if key in seen:
-                    return seen[key], word
-                seen[key] = word
-                nxt.append(child)
+        for a, b, c, d in level:
+            for key in (
+                ((a + u * b) % p, b, (c + u * d) % p, d),
+                (a, (b + v * a) % p, c, (d + v * c) % p),
+            ):
+                first = seen.setdefault(key, code)
+                if first != code:
+                    return bin(first)[3:], bin(code)[3:]
+                if not last:
+                    nxt.append(key)
+                code += 1
         level = nxt
     return None

@@ -8,6 +8,7 @@ failed verification), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -113,25 +114,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_bits(args: argparse.Namespace) -> list[int]:
+@contextlib.contextmanager
+def _no_digit_cap():
+    """Lift CPython's int-to-decimal digit cap, then restore it.
+
+    Only for integers the library computed: the cap guards against
+    quadratic-time conversion of untrusted input, and exact answers past
+    4300 digits are what mu and witness are for.
+    """
+    get_cap = getattr(sys, "get_int_max_str_digits", None)
+    if get_cap is None:  # Python releases without the cap
+        yield
+        return
+    cap = get_cap()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def _hash_input(args: argparse.Namespace, params: bsvhash.HashParams) -> bsvhash.Digest:
     if args.bits == "ascii01":
         if args.input == "-":
             text = sys.stdin.read()
         else:
             with open(args.input, "r", encoding="ascii") as fh:
                 text = fh.read()
-        return bsvhash.bits_from_ascii01(text)
+        return bsvhash.hash_string(params, bsvhash.bits_from_ascii01(text))
     if args.input == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(args.input, "rb") as fh:
             data = fh.read()
-    return bsvhash.bits_from_bytes_msb(data)
+    return bsvhash.HashState(params).update_bytes(data).digest()
 
 
 def _cmd_hash(args: argparse.Namespace) -> int:
     params = bsvhash.HashParams(args.u, args.v, args.p)
-    digest = bsvhash.hash_string(params, _read_bits(args))
+    digest = _hash_input(args, params)
     if args.format == "hex":
         print(bsvhash.digest_hex(digest, params))
     else:
@@ -153,16 +174,19 @@ def _cmd_mu(args: argparse.Namespace) -> int:
         value = extremal.witness(params, args.depth).value
     else:
         value = extremal.mu_depth(params, args.depth)
-    print(value)
+    with _no_digit_cap():
+        text = str(value)
+    print(text)
     return 0
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     params = MonoidParams(args.u, args.v)
     w = extremal.witness(params, args.depth)
-    if args.format == "json":
-        print(
-            json.dumps(
+    # Format everything before printing, so a failure prints nothing.
+    with _no_digit_cap():
+        if args.format == "json":
+            text = json.dumps(
                 {
                     "word": w.word,
                     "matrix": w.matrix.to_json(),
@@ -170,12 +194,14 @@ def _cmd_witness(args: argparse.Namespace) -> int:
                     "value": str(w.value),
                 }
             )
-        )
-    else:
-        print(f"word: {w.word}")
-        print(f"matrix: {json.dumps(w.matrix.to_json())}")
-        print(f"entry: ({w.position[0]},{w.position[1]})")
-        print(f"value: {w.value}")
+        else:
+            text = (
+                f"word: {w.word}\n"
+                f"matrix: {json.dumps(w.matrix.to_json())}\n"
+                f"entry: ({w.position[0]},{w.position[1]})\n"
+                f"value: {w.value}"
+            )
+    print(text)
     return 0
 
 

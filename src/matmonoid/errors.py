@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration cap."""
+from __future__ import annotations
+
+import os
+
+# Overrides the default cap of every brute-force enumeration.
+ENUM_LIMIT_ENV = "MATMONOID_ENUM_LIMIT"
 
 
 class MatMonoidError(Exception):
@@ -27,3 +33,18 @@ class WitnessMismatch(MatMonoidError):
     This should never happen; it signals an index-convention bug in the
     witness word construction and must not be silenced.
     """
+
+
+def enum_limit(limit: int | None, default: int) -> int:
+    """The enumeration cap: limit if given, else MATMONOID_ENUM_LIMIT, else default."""
+    if limit is not None:
+        return limit
+    env = os.environ.get(ENUM_LIMIT_ENV)
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError:
+            raise LimitExceeded(
+                f"{ENUM_LIMIT_ENV} must be an integer, got {env!r}"
+            ) from None
+    return default

@@ -9,11 +9,10 @@ entry polynomials behind the (u,v) <-> (v,u) mirror symmetry.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import IndexOutOfRange, LimitExceeded
+from .errors import IndexOutOfRange, LimitExceeded, enum_limit
 from .matrix import IDENTITY, Mat2, MonoidParams, validate_word
 from .polydom import BiPolyN
 
@@ -35,21 +34,6 @@ __all__ = [
 # this many cells instead of grinding silently. The environment variable
 # raises or lowers the ceiling without code changes.
 DEFAULT_ROW_LIMIT = 2**20
-ENUM_LIMIT_ENV = "MATMONOID_ENUM_LIMIT"
-
-
-def _enum_limit(limit: int | None, default: int) -> int:
-    if limit is not None:
-        return limit
-    env = os.environ.get(ENUM_LIMIT_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise LimitExceeded(
-                f"{ENUM_LIMIT_ENV} must be an integer, got {env!r}"
-            ) from None
-    return default
 
 
 class DominanceClass(Enum):
@@ -120,7 +104,7 @@ def row(root: Mat2, params: MonoidParams, n: int, limit: int | None = None) -> T
     """All 2^n depth-n descendants of root, in left-to-right order."""
     if n < 0:
         raise IndexOutOfRange(f"row depth must be nonnegative, got {n}")
-    cap = _enum_limit(limit, DEFAULT_ROW_LIMIT)
+    cap = enum_limit(limit, DEFAULT_ROW_LIMIT)
     if 1 << n > cap:
         raise LimitExceeded(
             f"row at depth {n} has {1 << n} cells, above the limit of {cap}"
@@ -138,7 +122,7 @@ def mu_row_bruteforce(params: MonoidParams, n: int, limit: int | None = None) ->
     """
     if n < 0:
         raise IndexOutOfRange(f"row depth must be nonnegative, got {n}")
-    cap = _enum_limit(limit, DEFAULT_ROW_LIMIT)
+    cap = enum_limit(limit, DEFAULT_ROW_LIMIT)
     if 1 << n > cap:
         raise LimitExceeded(
             f"row at depth {n} has {1 << n} cells, above the limit of {cap}"

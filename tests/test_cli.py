@@ -1,10 +1,31 @@
 """End-to-end command-line behavior: outputs, formats, and exit codes."""
+import contextlib
 import io
 import json
+import sys
 
 import pytest
 
+from matmonoid import MonoidParams, mu_depth, witness
 from matmonoid.cli import main
+
+# Python 3.10.7+ refuses int <-> decimal conversions past this many digits.
+DIGIT_CAP = 4300
+
+
+@contextlib.contextmanager
+def no_digit_cap():
+    """Lets the test itself print the library's huge integers."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+needs_digit_cap = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit cap in this Python")
 
 
 def run(capsys, argv):
@@ -103,6 +124,18 @@ class TestMuCommand:
         assert int(out) == 359579325206583560961765665172189099052367214309267232255589801
 
 
+    @needs_digit_cap
+    def test_answer_past_the_digit_cap(self, capsys):
+        cap = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, ["mu", "--u", "2", "--v", "3", "--depth", "10000"])
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == cap
+        with no_digit_cap():
+            expected = str(mu_depth(MonoidParams(2, 3), 10000))
+        assert len(expected) > DIGIT_CAP
+        assert out == expected + "\n"
+
+
 class TestWitnessCommand:
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, ["witness", "--u", "2", "--v", "3", "--depth", "3"])
@@ -124,6 +157,30 @@ class TestWitnessCommand:
             "position": [1, 2],
             "value": "24",
         }
+
+    @needs_digit_cap
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_answer_past_the_digit_cap(self, capsys, fmt):
+        cap = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, [
+            "witness", "--u", "2", "--v", "3", "--depth", "10000", "--format", fmt])
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == cap
+        w = witness(MonoidParams(2, 3), 10000)
+        with no_digit_cap():
+            value = str(w.value)
+            matrix = w.matrix.to_json()
+        assert len(value) > DIGIT_CAP
+        if fmt == "json":
+            assert json.loads(out) == {
+                "word": w.word, "matrix": matrix,
+                "position": list(w.position), "value": value,
+            }
+        else:
+            assert out == (
+                f"word: {w.word}\nmatrix: {json.dumps(matrix)}\n"
+                f"entry: ({w.position[0]},{w.position[1]})\nvalue: {value}\n"
+            )
 
     def test_depth_must_be_positive(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 """Shear-product hashing into SL2(F_p): primality gate, streaming state,
 digest serialization, and the exhaustive collision search."""
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from matmonoid import (
     Digest,
     HashParams,
+    HashState,
     InvalidParams,
     LimitExceeded,
     MonoidParams,
@@ -29,6 +32,53 @@ HP235 = HashParams(2, 3, 5)
 BIG_PRIME = 2**61 - 1
 
 bit_lists = st.lists(st.integers(0, 1), max_size=48)
+
+# The kernel's moduli: tiny (every byte-table entry reduced), small, and
+# multi-word primes where the table entries stay unreduced.
+KERNEL_PARAMS = [
+    HashParams(u, v, p)
+    for p in (2, 5, 101, 2**61 - 1, 2**521 - 1)
+    for u, v in ((1, 1), (2, 3), (5, 7))
+]
+# Up to 11 whole bytes, followed by a tail of any length mod 8.
+long_bit_lists = st.lists(st.integers(0, 1), max_size=90)
+# Elements the byte packer refuses; the per-bit path decides each one.
+odd_elements = st.sampled_from([2, -1, 256, 2**70, 1.0, 0.0, None, "0", "1", b"\x01", 0.5])
+
+
+def fold(state, bits):
+    """Reference: one update_bit per element. Returns the first error message."""
+    try:
+        for bit in bits:
+            state.update_bit(bit)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def snapshot(state):
+    return (state.a, state.b, state.c, state.d, state.bits_consumed)
+
+
+def string_keyed_collision_search(params, max_len):
+    """The string-keyed shortlex search the index-coded one must reproduce."""
+    u, v, p = params.u, params.v, params.p
+    root = (1 % p, 0, 0, 1 % p)
+    seen = {root: ""}
+    level = [("", root)]
+    for _ in range(max_len):
+        nxt = []
+        for s, (a, b, c, d) in level:
+            child0 = (s + "0", ((a + u * b) % p, b, (c + u * d) % p, d))
+            child1 = (s + "1", (a, (b + v * a) % p, c, (d + v * c) % p))
+            for child in (child0, child1):
+                word, key = child
+                if key in seen:
+                    return seen[key], word
+                seen[key] = word
+                nxt.append(child)
+        level = nxt
+    return None
 
 
 class TestIsProbablePrime:
@@ -139,6 +189,107 @@ class TestHashString:
         assert (d.a, d.b, d.c, d.d) == (m.a, m.b, m.c, m.d)
 
 
+class TestByteTableKernel:
+    """update/hash_string consume whole bytes through a 256-entry table."""
+
+    @given(st.sampled_from(KERNEL_PARAMS), long_bit_lists,
+           st.sampled_from(["list", "tuple", "bools"]))
+    @settings(max_examples=150)
+    def test_sequences_match_the_per_bit_fold(self, hp, bits, form):
+        seq = {"list": bits, "tuple": tuple(bits), "bools": [b == 1 for b in bits]}[form]
+        ref = HashState(hp)
+        assert fold(ref, seq) is None
+        assert snapshot(HashState(hp).update(seq)) == snapshot(ref)
+        assert hash_string(hp, seq) == ref.digest()
+
+    @given(st.sampled_from(KERNEL_PARAMS), long_bit_lists)
+    @settings(max_examples=100)
+    def test_strings_match_the_per_bit_fold(self, hp, bits):
+        ref = HashState(hp)
+        fold(ref, bits)
+        text = "".join(map(str, bits))
+        assert hash_string(hp, text) == ref.digest()
+        # update() takes bit values, not digit characters, as it always has.
+        state, per_bit = HashState(hp), HashState(hp)
+        expected = fold(per_bit, text)
+        if expected is None:
+            assert snapshot(state.update(text)) == snapshot(per_bit)
+        else:
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                state.update(text)
+            assert snapshot(state) == snapshot(per_bit)
+
+    @pytest.mark.parametrize("length", range(24))
+    def test_every_length_mod_eight(self, length):
+        bits = [(i * 5 + length) % 3 % 2 for i in range(length)]
+        for hp in KERNEL_PARAMS:
+            ref = HashState(hp)
+            fold(ref, bits)
+            state = HashState(hp).update(bits)
+            assert snapshot(state) == snapshot(ref)
+            assert state.bits_consumed == length
+
+    @given(st.sampled_from(KERNEL_PARAMS), long_bit_lists, st.lists(st.integers(0, 90), max_size=4))
+    @settings(max_examples=100)
+    def test_uneven_chunks_keep_bits_consumed_exact(self, hp, bits, cuts):
+        ref = HashState(hp)
+        fold(ref, bits)
+        state = HashState(hp)
+        bounds = [0] + sorted(min(c, len(bits)) for c in cuts) + [len(bits)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            state.update(bits[lo:hi])
+            assert state.bits_consumed == hi
+        assert snapshot(state) == snapshot(ref)
+
+    @given(st.sampled_from(KERNEL_PARAMS), long_bit_lists.filter(bool), st.data())
+    @settings(max_examples=150)
+    def test_bad_element_raises_at_its_position(self, hp, bits, data):
+        k = data.draw(st.integers(0, len(bits) - 1))
+        bad = data.draw(odd_elements)
+        seq = bits[:k] + [bad] + bits[k + 1:]
+        for form in (seq, tuple(seq)):
+            ref = HashState(hp)
+            expected = fold(ref, form)
+            state = HashState(hp)
+            if expected is None:  # 1.0 and 0.0 compare equal to bits
+                assert snapshot(state.update(form)) == snapshot(ref)
+                assert hash_string(hp, form) == ref.digest()
+                continue
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                state.update(form)
+            assert snapshot(state) == snapshot(ref)
+            assert ref.bits_consumed == k
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                hash_string(hp, form)
+
+    def test_generators_and_bytes_take_the_per_bit_path(self):
+        bits = [0, 1, 1, 0, 0, 1, 0, 1, 1]
+        ref = HashState(HP235)
+        fold(ref, bits)
+        assert snapshot(HashState(HP235).update(iter(bits))) == snapshot(ref)
+        assert snapshot(HashState(HP235).update(bytes(bits))) == snapshot(ref)
+        with pytest.raises(ValueError, match="got 2"):
+            HashState(HP235).update(b"\x00\x02")
+
+    @pytest.mark.parametrize("text,bad", [
+        ("0_1", "_"), (" 01", " "), ("+01", "+"), ("٠١", "٠"), ("０", "０"),
+        ("0b1", "b"), ("01\n", "\n"), ("1 0", " "),
+    ])
+    def test_strings_int_would_accept_are_rejected(self, text, bad):
+        for hp in (HP235, KERNEL_PARAMS[-1]):
+            with pytest.raises(ValueError) as exc:
+                hash_string(hp, text)
+            assert str(exc.value) == f"bit strings may only contain '0'/'1', got {bad!r}"
+
+    @given(st.sampled_from(KERNEL_PARAMS), st.binary(max_size=40), long_bit_lists)
+    @settings(max_examples=100)
+    def test_update_bytes_matches_bitwise_update(self, hp, data, prefix):
+        ref = HashState(hp)
+        fold(ref, prefix + bits_from_bytes_msb(data))
+        state = HashState(hp).update(prefix).update_bytes(data)
+        assert snapshot(state) == snapshot(ref)
+
+
 class TestBitDecoders:
     def test_ascii01_skips_whitespace(self):
         assert bits_from_ascii01("0 1\n1\t0 ") == [0, 1, 1, 0]
@@ -147,6 +298,24 @@ class TestBitDecoders:
     def test_ascii01_rejects_other_characters(self):
         with pytest.raises(ValueError):
             bits_from_ascii01("0120")
+
+    @pytest.mark.parametrize("text,bad", [
+        ("0_1", "_"), ("+01", "+"), ("٠١", "٠"), ("０", "０"), ("1 1x0", "x"),
+        ("01\u200b", "\u200b"),
+    ])
+    def test_ascii01_names_the_first_bad_character(self, text, bad):
+        with pytest.raises(ValueError) as exc:
+            bits_from_ascii01(text)
+        assert str(exc.value) == f"invalid character {bad!r}; expected '0', '1', or whitespace"
+
+    @given(st.text(alphabet="01 \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000", max_size=60))
+    def test_ascii01_drops_exactly_the_isspace_characters(self, text):
+        assert bits_from_ascii01(text) == [int(ch) for ch in text if not ch.isspace()]
+
+    @given(st.binary(max_size=64))
+    def test_bytes_msb_matches_shifts(self, data):
+        assert bits_from_bytes_msb(data) == [
+            byte >> k & 1 for byte in data for k in range(7, -1, -1)]
 
     def test_bytes_msb_first(self):
         assert bits_from_bytes_msb(b"\xa5") == [1, 0, 1, 0, 0, 1, 0, 1]
@@ -232,3 +401,13 @@ class TestExhaustiveCollisionCheck:
     def test_rejects_negative_max_len(self):
         with pytest.raises(InvalidParams):
             exhaustive_collision_check(HP235, -1)
+
+    @pytest.mark.parametrize("u,v,p", [
+        (u, v, p) for u in (1, 2, 3) for v in (1, 2, 3) for p in (2, 3, 5, 7, 11, 101)])
+    def test_matches_the_string_keyed_search(self, u, v, p):
+        hp = HashParams(u, v, p)
+        for max_len in range(11):
+            assert exhaustive_collision_check(hp, max_len) == \
+                string_keyed_collision_search(hp, max_len)
+        if (u, v, p) == (2, 3, 5):
+            assert string_keyed_collision_search(hp, 5) == ("", "00000")
