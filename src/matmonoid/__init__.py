@@ -9,146 +9,16 @@ bit-string hash whose collision-free length bound drops out of the
 maximal-entry sequence.
 """
 
-from .bsvhash import (
-    Digest,
-    HashParams,
-    HashState,
-    bits_from_ascii01,
-    bits_from_bytes_msb,
-    bound_n0,
-    digest_hex,
-    exhaustive_collision_check,
-    hash_string,
-    init,
-    is_probable_prime,
-    parse,
-    serialize,
-    update_bit,
-)
-from .errors import (
-    IndexOutOfRange,
-    InvalidParams,
-    LimitExceeded,
-    MatMonoidError,
-    NotInMonoid,
-    WitnessMismatch,
-)
-from .extremal import (
-    AlphaGammaPair,
-    ClosedFormParams,
-    LucasPair,
-    Witness,
-    alpha_gamma,
-    closed_form_float,
-    closed_form_params,
-    collision_horizon,
-    fseq,
-    lucas,
-    mu_depth,
-    witness,
-)
-from .matrix import (
-    IDENTITY,
-    Mat2,
-    MonoidParams,
-    factor,
-    lmat,
-    mu,
-    mul,
-    rmat,
-    word_to_matrix,
-)
-from .polydom import (
-    ONE,
-    X,
-    ZERO,
-    BiPolyN,
-    PolyN,
-    dominates,
-    f_poly,
-    g_poly,
-    h_poly,
-    i_poly,
-    left_column_polys,
-    pascal_merge_check,
-)
-from .tree import (
-    DominanceClass,
-    TreeRow,
-    antitranspose,
-    cell,
-    cell_word,
-    children,
-    classify,
-    entry_polys,
-    mu_row_bruteforce,
-    row,
-)
+from . import bsvhash, errors, extremal, matrix, polydom, tree
+from .bsvhash import *
+from .errors import *
+from .extremal import *
+from .matrix import *
+from .polydom import *
+from .tree import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaGammaPair",
-    "BiPolyN",
-    "ClosedFormParams",
-    "Digest",
-    "DominanceClass",
-    "HashParams",
-    "HashState",
-    "IDENTITY",
-    "IndexOutOfRange",
-    "InvalidParams",
-    "LimitExceeded",
-    "LucasPair",
-    "Mat2",
-    "MatMonoidError",
-    "MonoidParams",
-    "NotInMonoid",
-    "ONE",
-    "PolyN",
-    "TreeRow",
-    "Witness",
-    "WitnessMismatch",
-    "X",
-    "ZERO",
-    "alpha_gamma",
-    "antitranspose",
-    "bits_from_ascii01",
-    "bits_from_bytes_msb",
-    "bound_n0",
-    "cell",
-    "cell_word",
-    "children",
-    "classify",
-    "closed_form_float",
-    "closed_form_params",
-    "collision_horizon",
-    "digest_hex",
-    "dominates",
-    "entry_polys",
-    "exhaustive_collision_check",
-    "f_poly",
-    "factor",
-    "fseq",
-    "g_poly",
-    "h_poly",
-    "hash_string",
-    "i_poly",
-    "init",
-    "is_probable_prime",
-    "left_column_polys",
-    "lmat",
-    "lucas",
-    "mu",
-    "mu_depth",
-    "mu_row_bruteforce",
-    "mul",
-    "parse",
-    "pascal_merge_check",
-    "rmat",
-    "row",
-    "serialize",
-    "update_bit",
-    "witness",
-    "word_to_matrix",
-]
+__all__ = sorted(
+    set().union(*(m.__all__ for m in (bsvhash, errors, extremal, matrix, polydom, tree)))
+)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
-from .errors import InvalidParams, LimitExceeded, enum_limit
+from .errors import InvalidParams, LimitExceeded, enum_limit, require_int
 from .extremal import collision_horizon
 from .matrix import MonoidParams
 
@@ -29,11 +29,9 @@ __all__ = [
     "digest_hex",
     "exhaustive_collision_check",
     "hash_string",
-    "init",
     "is_probable_prime",
     "parse",
     "serialize",
-    "update_bit",
 ]
 
 # Exhaustively enumerating all strings of length <= m visits 2^{m+1}-1
@@ -103,12 +101,9 @@ class HashParams:
     p: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.u, int) or self.u < 1:
-            raise InvalidParams(f"u must be a positive integer, got {self.u!r}")
-        if not isinstance(self.v, int) or self.v < 1:
-            raise InvalidParams(f"v must be a positive integer, got {self.v!r}")
-        if not isinstance(self.p, int) or self.p < 2:
-            raise InvalidParams(f"p must be an integer >= 2, got {self.p!r}")
+        require_int("u", self.u, 1)
+        require_int("v", self.v, 1)
+        require_int("p", self.p, 2)
         if not is_probable_prime(self.p):
             raise InvalidParams(f"p must be prime, got {self.p}")
 
@@ -223,16 +218,6 @@ class HashState:
         return other
 
 
-def init(params: HashParams) -> HashState:
-    """Fresh state: the identity matrix, zero bits consumed."""
-    return HashState(params)
-
-
-def update_bit(state: HashState, bit: int) -> HashState:
-    """Functional spelling of HashState.update_bit."""
-    return state.update_bit(bit)
-
-
 @lru_cache(maxsize=64)
 def _byte_table(params: HashParams) -> tuple[tuple[int, int, int, int], ...]:
     """The hash of every 8-bit word mod p, indexed by its byte value."""
@@ -245,11 +230,11 @@ def _byte_table(params: HashParams) -> tuple[tuple[int, int, int, int], ...]:
 def hash_string(params: HashParams, bits: Iterable[int] | str) -> Digest:
     """One-shot hash of a bit sequence ('0'/'1' string or ints)."""
     if not isinstance(bits, str):
-        return init(params).update(bits).digest()
+        return HashState(params).update(bits).digest()
     bad = bits.lstrip("01")
     if bad:
         raise ValueError(f"bit strings may only contain '0'/'1', got {bad[0]!r}")
-    return init(params)._update_digits(bits).digest()
+    return HashState(params)._update_digits(bits).digest()
 
 
 def bits_from_ascii01(text: str) -> list[int]:
@@ -315,8 +300,7 @@ def exhaustive_collision_check(
     string), so the result is deterministic. Returns None if every one of
     the 2^{max_len+1}-1 strings hashes distinctly.
     """
-    if not isinstance(max_len, int) or max_len < 0:
-        raise InvalidParams(f"max_len must be a nonnegative integer, got {max_len!r}")
+    require_int("max_len", max_len, 0)
     cap = enum_limit(limit, DEFAULT_COLLISION_LIMIT)
     if 1 << (max_len + 1) > cap:
         raise LimitExceeded(

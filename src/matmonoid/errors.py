@@ -1,7 +1,16 @@
-"""Exception types shared across the package, and the enumeration cap."""
+"""Exception types, the shared integer check, and the enumeration cap."""
 from __future__ import annotations
 
 import os
+
+__all__ = [
+    "IndexOutOfRange",
+    "InvalidParams",
+    "LimitExceeded",
+    "MatMonoidError",
+    "NotInMonoid",
+    "WitnessMismatch",
+]
 
 # Overrides the default cap of every brute-force enumeration.
 ENUM_LIMIT_ENV = "MATMONOID_ENUM_LIMIT"
@@ -33,6 +42,15 @@ class WitnessMismatch(MatMonoidError):
     This should never happen; it signals an index-convention bug in the
     witness word construction and must not be silenced.
     """
+
+
+def require_int(name: str, value: object, low: int) -> None:
+    """Raise InvalidParams unless value is an int (not a bool) and at least low."""
+    if type(value) is not int or value < low:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            low, f"an integer >= {low}"
+        )
+        raise InvalidParams(f"{name} must be {kind}, got {value!r}")
 
 
 def enum_limit(limit: int | None, default: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .errors import InvalidParams, WitnessMismatch
+from .errors import InvalidParams, WitnessMismatch, require_int
 from .matrix import Mat2, MonoidParams, mu, word_to_matrix
 
 __all__ = [
@@ -59,10 +59,8 @@ def lucas(P: int, m: int) -> LucasPair:
     half-sums are exact: U_k and V_k are congruent mod 2 when P is odd
     and V_k is always even when P is even.
     """
-    if not isinstance(P, int) or P < 3:
-        raise InvalidParams(f"P must be an integer >= 3, got {P!r}")
-    if not isinstance(m, int) or m < 0:
-        raise InvalidParams(f"m must be a nonnegative integer, got {m!r}")
+    require_int("P", P, 3)
+    require_int("m", m, 0)
     U, V = 0, 2
     D = P * P - 4
     for k in range(m.bit_length() - 1, -1, -1):
@@ -94,12 +92,11 @@ def alpha_gamma(params: MonoidParams, a: int, c: int, n: int) -> AlphaGammaPair:
     matrix with left column (a, c). Starting from (1, u) - the left
     column of L_u - gamma_n is the (2,1) entry of (L_u R_v)^n L_u.
     """
-    if not isinstance(a, int) or not isinstance(c, int) or a < 0 or c < 0:
+    if type(a) is not int or type(c) is not int or a < 0 or c < 0:
         raise InvalidParams(f"start column must be nonnegative integers, got ({a!r}, {c!r})")
     if a == 0 and c == 0:
         raise InvalidParams("start column must not be (0, 0)")
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParams(f"n must be a nonnegative integer, got {n!r}")
+    require_int("n", n, 0)
     u, v = params.u, params.v
     alpha, gamma = a, c
     for _ in range(n):
@@ -144,7 +141,7 @@ class ClosedFormParams:
 
 def closed_form_params(params: MonoidParams, a: int, c: int) -> ClosedFormParams:
     """Eigen data for the start column (a, c), same convention as alpha_gamma."""
-    if a < 0 or c < 0 or (a == 0 and c == 0):
+    if type(a) is not int or type(c) is not int or a < 0 or c < 0 or a == c == 0:
         raise InvalidParams(f"start column must be nonnegative and nonzero, got ({a!r}, {c!r})")
     u, v = params.u, params.v
     with mpmath.workprec(FLOAT_PRECISION_BITS):
@@ -187,24 +184,19 @@ def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> mpmath
     with q+- = 2+uv +- sqrt(uv(4+uv)) and p+- = +-s*sqrt(t) + sqrt(s(4+uv)).
     Float cross-check only; mu_depth is the exact source of truth.
     """
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParams(f"n must be a nonnegative integer, got {n!r}")
+    require_int("n", n, 0)
     if depth_parity not in ("odd", "even"):
         raise InvalidParams(f"depth_parity must be 'odd' or 'even', got {depth_parity!r}")
     s, t = params.s, params.t
+    # Oriented as (u, v) = (t, s), the eigen data holds exactly these q+- and p+-.
+    cf = closed_form_params(MonoidParams(t, s), 1, t)
+    q_plus, q_minus, p_plus, p_minus = cf.q_plus, cf.q_minus, cf.p_plus, cf.p_minus
     with mpmath.workprec(FLOAT_PRECISION_BITS):
         uv = mpmath.mpf(s * t)
-        disc = mpmath.sqrt(uv * (4 + uv))
-        q_plus, q_minus = 2 + uv + disc, 2 + uv - disc
         root_t = mpmath.sqrt(t)
-        if depth_parity == "odd":
-            return (
-                root_t
-                * (q_plus ** (n + 1) - q_minus ** (n + 1))
-                / (2 ** (n + 1) * mpmath.sqrt(s * (4 + uv)))
-            )
         edge = mpmath.sqrt(s * (4 + uv))
-        p_plus, p_minus = s * root_t + edge, -s * root_t + edge
+        if depth_parity == "odd":
+            return root_t * (q_plus ** (n + 1) - q_minus ** (n + 1)) / (2 ** (n + 1) * edge)
         if s > 1:
             return (
                 p_plus * q_plus ** (n + 1) + p_minus * q_minus ** (n + 1)
@@ -233,8 +225,7 @@ def mu_depth(params: MonoidParams, n: int) -> int:
     and the s=1 numerator is positive because V_m^2 = (t^2+4t)U_m^2 + 4
     exceeds ((t-2)U_m)^2.
     """
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParams(f"depth must be a nonnegative integer, got {n!r}")
+    require_int("depth", n, 0)
     if n == 0:
         return 1
     s, t = params.s, params.t
@@ -268,8 +259,7 @@ def witness(params: MonoidParams, n: int) -> Witness:
     is always checked against mu_depth; a mismatch raises rather than
     returning a wrong witness.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParams(f"witness depth must be a positive integer, got {n!r}")
+    require_int("witness depth", n, 1)
     u, v = params.u, params.v
     position: tuple[int, int] | None
     if n % 2 == 1:
@@ -309,8 +299,7 @@ def fseq(params: MonoidParams, n: int) -> int:
     (min(u,v), max(u,v)), the value at n+1 equals mu_depth at n whenever
     u, v > 1 or u = v = 1.
     """
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParams(f"index must be a nonnegative integer, got {n!r}")
+    require_int("index", n, 0)
     if n == 0:
         return 0
     u, v = params.u, params.v
@@ -327,8 +316,7 @@ def collision_horizon(params: MonoidParams, bound: int) -> int:
     found by exponential then binary search on the (strictly, from n=1)
     increasing sequence. O(log^2) big-integer work.
     """
-    if not isinstance(bound, int) or bound < 2:
-        raise InvalidParams(f"bound must be an integer >= 2, got {bound!r}")
+    require_int("bound", bound, 2)
     lo, hi = 0, 1
     while mu_depth(params, hi) < bound:
         lo, hi = hi, hi * 2

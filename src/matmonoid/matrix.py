@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidParams, NotInMonoid
+from .errors import NotInMonoid, require_int
 
 __all__ = [
     "MonoidParams",
@@ -38,10 +38,8 @@ class MonoidParams:
     v: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.u, int) and isinstance(self.v, int)):
-            raise InvalidParams("u and v must be integers")
-        if self.u < 1 or self.v < 1:
-            raise InvalidParams(f"u and v must be >= 1, got u={self.u}, v={self.v}")
+        require_int("u", self.u, 1)
+        require_int("v", self.v, 1)
 
     @property
     def s(self) -> int:
@@ -69,7 +67,7 @@ class Mat2:
 
     def __post_init__(self) -> None:
         for entry in (self.a, self.b, self.c, self.d):
-            if not isinstance(entry, int):
+            if type(entry) is not int:
                 raise ValueError("entries must be integers")
             if entry < 0:
                 raise ValueError("entries must be nonnegative")

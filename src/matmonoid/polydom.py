@@ -12,6 +12,8 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Iterator
 
+from .matrix import validate_word
+
 __all__ = [
     "PolyN",
     "BiPolyN",
@@ -222,9 +224,7 @@ def left_column_polys(word: str) -> tuple[PolyN, PolyN]:
     top(0) = 1 and bottom(0) = 0; evaluating at u recovers the left column
     of the word's matrix for every u >= 1.
     """
-    for ch in word:
-        if ch not in "LR":
-            raise ValueError(f"invalid word letter {ch!r}; expected 'L' or 'R'")
+    validate_word(word)
     f, g = ONE, ZERO
     # The word is a left-to-right product, so fold generators from the
     # innermost (last) letter outward.

@@ -642,13 +642,13 @@ def check_streaming_one_shot(n_strings: int = 200, seed: int = RNG_SEED) -> Chec
     for trial in range(n_strings):
         bits = [rng.randrange(2) for _ in range(rng.randrange(64))]
         one_shot = bsvhash.hash_string(params, bits)
-        st = bsvhash.init(params)
+        st = bsvhash.HashState(params)
         for b in bits:
-            bsvhash.update_bit(st, b)
+            st.update_bit(b)
         if st.digest() != one_shot:
             failures.append(f"trial {trial}: bitwise streaming differs")
         cut = rng.randrange(len(bits) + 1)
-        st2 = bsvhash.init(params).update(bits[:cut]).update(bits[cut:])
+        st2 = bsvhash.HashState(params).update(bits[:cut]).update(bits[cut:])
         if st2.digest() != one_shot:
             failures.append(f"trial {trial}: chunked streaming differs")
         if st2.bits_consumed != len(bits):
@@ -662,7 +662,7 @@ def check_unit_determinant(n_strings: int = 200, seed: int = RNG_SEED) -> CheckR
     for trial in range(n_strings):
         u, v = rng.randrange(1, 6), rng.randrange(1, 6)
         p = rng.choice(HASH_PRIMES)
-        st = bsvhash.init(bsvhash.HashParams(u, v, p))
+        st = bsvhash.HashState(bsvhash.HashParams(u, v, p))
         for _ in range(rng.randrange(1, 48)):
             st.update_bit(rng.randrange(2))
             if (st.a * st.d - st.b * st.c) % p != 1:

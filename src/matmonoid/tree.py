@@ -11,9 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import starmap
 
-from .errors import IndexOutOfRange, LimitExceeded, enum_limit
-from .matrix import IDENTITY, Mat2, MonoidParams, validate_word
+from .errors import IndexOutOfRange, InvalidParams, LimitExceeded, enum_limit
+from .matrix import (
+    IDENTITY,
+    Mat2,
+    MonoidParams,
+    lmat,
+    mul,
+    rmat,
+    validate_word,
+    word_to_matrix,
+)
 from .polydom import BiPolyN
 
 __all__ = [
@@ -34,6 +44,8 @@ __all__ = [
 # this many cells instead of grinding silently. The environment variable
 # raises or lowers the ceiling without code changes.
 DEFAULT_ROW_LIMIT = 2**20
+
+_BITS_TO_LETTERS = str.maketrans("01", "LR")
 
 
 class DominanceClass(Enum):
@@ -81,37 +93,38 @@ class TreeRow:
 
 def children(m: Mat2, params: MonoidParams) -> tuple[Mat2, Mat2]:
     """(left child, right child) = (L_u*M, R_v*M)."""
-    u, v = params.u, params.v
-    left = Mat2(m.a, m.b, u * m.a + m.c, u * m.b + m.d)
-    right = Mat2(m.a + v * m.c, m.b + v * m.d, m.c, m.d)
-    return left, right
+    return mul(lmat(params), m), mul(rmat(params), m)
 
 
-def _expand_rows(root: tuple[int, int, int, int], u: int, v: int, n: int):
-    """Yield rows 0..n as lists of (a, b, c, d) tuples, left to right."""
-    cur = [root]
-    yield cur
-    for _ in range(n):
-        cur = [
-            m
-            for a, b, c, d in cur
-            for m in ((a, b, u * a + c, u * b + d), (a + v * c, b + v * d, c, d))
-        ]
-        yield cur
-
-
-def row(root: Mat2, params: MonoidParams, n: int, limit: int | None = None) -> TreeRow:
-    """All 2^n depth-n descendants of root, in left-to-right order."""
+def _require_depth(n: int) -> None:
+    if type(n) is not int:
+        raise InvalidParams(f"row depth must be an integer, got {n!r}")
     if n < 0:
         raise IndexOutOfRange(f"row depth must be nonnegative, got {n}")
+
+
+def _row_cells(root: Mat2, params: MonoidParams, n: int, limit: int | None) -> list:
+    """The 2^n depth-n descendants of root as (a, b, c, d), left to right."""
+    _require_depth(n)
     cap = enum_limit(limit, DEFAULT_ROW_LIMIT)
     if 1 << n > cap:
         raise LimitExceeded(
             f"row at depth {n} has {1 << n} cells, above the limit of {cap}"
         )
-    for cells in _expand_rows((root.a, root.b, root.c, root.d), params.u, params.v, n):
-        pass
-    return TreeRow(n, tuple(Mat2(a, b, c, d) for a, b, c, d in cells))
+    u, v = params.u, params.v
+    cells = [(root.a, root.b, root.c, root.d)]
+    for _ in range(n):
+        cells = [
+            m
+            for a, b, c, d in cells
+            for m in ((a, b, u * a + c, u * b + d), (a + v * c, b + v * d, c, d))
+        ]
+    return cells
+
+
+def row(root: Mat2, params: MonoidParams, n: int, limit: int | None = None) -> TreeRow:
+    """All 2^n depth-n descendants of root, in left-to-right order."""
+    return TreeRow(n, tuple(starmap(Mat2, _row_cells(root, params, n, limit))))
 
 
 def mu_row_bruteforce(params: MonoidParams, n: int, limit: int | None = None) -> int:
@@ -120,49 +133,31 @@ def mu_row_bruteforce(params: MonoidParams, n: int, limit: int | None = None) ->
     This is the trusted-but-slow reference the closed forms are checked
     against.
     """
-    if n < 0:
-        raise IndexOutOfRange(f"row depth must be nonnegative, got {n}")
-    cap = enum_limit(limit, DEFAULT_ROW_LIMIT)
-    if 1 << n > cap:
-        raise LimitExceeded(
-            f"row at depth {n} has {1 << n} cells, above the limit of {cap}"
-        )
-    for cells in _expand_rows((1, 0, 0, 1), params.u, params.v, n):
-        pass
-    return max(map(max, cells))
-
-
-def _cell_bits(n: int, i: int) -> list[int]:
-    if n < 0:
-        raise IndexOutOfRange(f"row depth must be nonnegative, got {n}")
-    if not 1 <= i <= 1 << n:
-        raise IndexOutOfRange(f"cell index {i} out of range 1..{1 << n}")
-    return [(i - 1) >> k & 1 for k in range(n - 1, -1, -1)]
+    return max(map(max, _row_cells(IDENTITY, params, n, limit)))
 
 
 def cell(n: int, i: int, params: MonoidParams) -> Mat2:
     """The i-th depth-n vertex (1-indexed, left to right), rooted at I2.
 
-    Walks the bit path of i-1 (high bit first, 0 = left child) in O(n)
-    generator applications, without materializing the row.
+    The monoid is free, so the cell is the product of its word: O(n)
+    generator steps, without materializing the row.
     """
-    u, v = params.u, params.v
-    a, b, c, d = 1, 0, 0, 1
-    for bit in _cell_bits(n, i):
-        if bit:
-            a, b = a + v * c, b + v * d
-        else:
-            c, d = u * a + c, u * b + d
-    return Mat2(a, b, c, d)
+    return word_to_matrix(cell_word(n, i), params)
 
 
 def cell_word(n: int, i: int) -> str:
-    """The generator word of cell (n, i): word_to_matrix(cell_word(n, i)) = cell(n, i).
+    """The generator word of cell (n, i): cell(n, i) = word_to_matrix(cell_word(n, i)).
 
-    The path applies generators on the left from the root outward, so the
-    left-to-right word is the path read leaf-to-root.
+    The bits of i-1, high bit first, are the path from the root (0 = left
+    child = L). The path applies generators on the left from the root
+    outward, so the left-to-right word is the path read leaf-to-root.
     """
-    return "".join("L" if bit == 0 else "R" for bit in reversed(_cell_bits(n, i)))
+    _require_depth(n)
+    if type(i) is not int:
+        raise InvalidParams(f"cell index must be an integer, got {i!r}")
+    if not 1 <= i <= 1 << n:
+        raise IndexOutOfRange(f"cell index {i} out of range 1..{1 << n}")
+    return format(i - 1, f"0{n}b")[::-1].translate(_BITS_TO_LETTERS) if n else ""
 
 
 def classify(m: Mat2, params: MonoidParams) -> DominanceClass:

@@ -1,0 +1,109 @@
+"""The package's public names, and the integer check every parameter shares."""
+import pytest
+
+import matmonoid
+from matmonoid import (
+    HashParams,
+    InvalidParams,
+    Mat2,
+    MonoidParams,
+    alpha_gamma,
+    bsvhash,
+    closed_form_params,
+    errors,
+    exhaustive_collision_check,
+    extremal,
+    lucas,
+    matrix,
+    mu_depth,
+    polydom,
+    tree,
+    witness,
+)
+from matmonoid.errors import require_int
+
+MODULES = (bsvhash, errors, extremal, matrix, polydom, tree)
+
+# Every name the package exported before the module lists became the
+# single source of its __all__ (the functional hash aliases init and
+# update_bit were dropped then).
+LEGACY_NAMES = [
+    "AlphaGammaPair", "BiPolyN", "ClosedFormParams", "Digest", "DominanceClass",
+    "HashParams", "HashState", "IDENTITY", "IndexOutOfRange", "InvalidParams",
+    "LimitExceeded", "LucasPair", "Mat2", "MatMonoidError", "MonoidParams",
+    "NotInMonoid", "ONE", "PolyN", "TreeRow", "Witness", "WitnessMismatch", "X",
+    "ZERO", "alpha_gamma", "antitranspose", "bits_from_ascii01",
+    "bits_from_bytes_msb", "bound_n0", "cell", "cell_word", "children", "classify",
+    "closed_form_float", "closed_form_params", "collision_horizon", "digest_hex",
+    "dominates", "entry_polys", "exhaustive_collision_check", "f_poly", "factor",
+    "fseq", "g_poly", "h_poly", "hash_string", "i_poly", "is_probable_prime",
+    "left_column_polys", "lmat", "lucas", "mu", "mu_depth", "mu_row_bruteforce",
+    "mul", "parse", "pascal_merge_check", "rmat", "row", "serialize", "witness",
+    "word_to_matrix",
+]
+
+P23 = MonoidParams(2, 3)
+HP235 = HashParams(2, 3, 5)
+
+
+class TestPublicNames:
+    def test_all_is_the_union_of_the_module_lists(self):
+        union = set().union(*(m.__all__ for m in MODULES))
+        assert matmonoid.__all__ == sorted(union)
+
+    def test_every_name_resolves(self):
+        for name in matmonoid.__all__:
+            assert getattr(matmonoid, name) is not None
+        for module in MODULES:
+            for name in module.__all__:
+                assert getattr(matmonoid, name) is getattr(module, name)
+
+    def test_legacy_names_still_import(self):
+        missing = [name for name in LEGACY_NAMES if not hasattr(matmonoid, name)]
+        assert missing == []
+        assert set(LEGACY_NAMES) <= set(matmonoid.__all__)
+
+    def test_hash_aliases_are_gone(self):
+        assert not hasattr(matmonoid, "init")
+        assert not hasattr(matmonoid, "update_bit")
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("low,kind", [
+        (0, "a nonnegative integer"),
+        (1, "a positive integer"),
+        (2, "an integer >= 2"),
+        (3, "an integer >= 3"),
+    ])
+    def test_message_names_the_bound(self, low, kind):
+        require_int("x", low, low)
+        with pytest.raises(InvalidParams) as exc:
+            require_int("x", low - 1, low)
+        assert str(exc.value) == f"x must be {kind}, got {low - 1}"
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+    def test_rejects_bool_and_non_int(self, value):
+        with pytest.raises(InvalidParams, match=f"got {value!r}"):
+            require_int("x", value, 0)
+
+    def test_monoid_params_message(self):
+        with pytest.raises(InvalidParams, match=r"^u must be a positive integer, got 0$"):
+            MonoidParams(0, 1)
+
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: MonoidParams(True, 1), InvalidParams, id="MonoidParams"),
+    pytest.param(lambda: HashParams(True, 3, 5), InvalidParams, id="HashParams"),
+    pytest.param(lambda: mu_depth(P23, True), InvalidParams, id="mu_depth"),
+    pytest.param(lambda: lucas(5, True), InvalidParams, id="lucas"),
+    pytest.param(lambda: witness(P23, True), InvalidParams, id="witness"),
+    pytest.param(lambda: Mat2(True, 0, 0, True), ValueError, id="Mat2"),
+    pytest.param(
+        lambda: exhaustive_collision_check(HP235, True), InvalidParams, id="collision_check"
+    ),
+    pytest.param(lambda: alpha_gamma(P23, True, 1, 2), InvalidParams, id="alpha_gamma"),
+    pytest.param(lambda: closed_form_params(P23, 1.5, 2), InvalidParams, id="closed_form_params"),
+])
+def test_bool_and_non_integer_parameters_are_rejected(call, error):
+    with pytest.raises(error):
+        call()

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +211,12 @@ class TestTreeCommand:
 
 
 class TestVerifyCommand:
+    def test_full_report_is_pinned(self, capsys):
+        expected = (Path(__file__).parent / "data" / "verify_all.txt").read_text()
+        code, out, _ = run(capsys, ["verify"])
+        assert code == 0
+        assert out == expected
+
     def test_polydom_suite_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "polydom"])
         assert code == 0

@@ -20,11 +20,9 @@ from matmonoid import (
     digest_hex,
     exhaustive_collision_check,
     hash_string,
-    init,
     is_probable_prime,
     parse,
     serialize,
-    update_bit,
     word_to_matrix,
 )
 
@@ -124,24 +122,24 @@ class TestHashParams:
 
 class TestHashState:
     def test_init_is_identity(self):
-        state = init(HP235)
+        state = HashState(HP235)
         assert state.digest() == Digest(1, 0, 0, 1)
         assert state.bits_consumed == 0
 
     def test_single_bit_steps(self):
-        state = init(HP235)
-        update_bit(state, 0)
+        state = HashState(HP235)
+        state.update_bit(0)
         assert state.digest() == Digest(1, 0, 2, 1)
-        update_bit(state, 1)
+        state.update_bit(1)
         assert state.digest() == Digest(1, 3, 2, 2)
         assert state.bits_consumed == 2
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            init(HP235).update_bit(2)
+            HashState(HP235).update_bit(2)
 
     def test_copy_is_independent(self):
-        state = init(HP235).update([0, 1])
+        state = HashState(HP235).update([0, 1])
         clone = state.copy()
         state.update_bit(1)
         assert clone.digest() == Digest(1, 3, 2, 2)
@@ -151,7 +149,7 @@ class TestHashState:
     @given(bit_lists, st.integers(0, 48))
     def test_chunking_is_irrelevant(self, bits, cut):
         cut = min(cut, len(bits))
-        chunked = init(HP235).update(bits[:cut]).update(bits[cut:])
+        chunked = HashState(HP235).update(bits[:cut]).update(bits[cut:])
         assert chunked.digest() == hash_string(HP235, bits)
         assert chunked.bits_consumed == len(bits)
 

@@ -11,6 +11,7 @@ from matmonoid import (
     BiPolyN,
     DominanceClass,
     IndexOutOfRange,
+    InvalidParams,
     LimitExceeded,
     Mat2,
     MonoidParams,
@@ -175,6 +176,20 @@ class TestCellAccess:
             cell(n, i, P23)
         with pytest.raises(IndexOutOfRange):
             cell_word(n, i)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: row(IDENTITY, P23, 2.0), id="row-float"),
+        pytest.param(lambda: row(IDENTITY, P23, True), id="row-bool"),
+        pytest.param(lambda: mu_row_bruteforce(P23, 2.0), id="bruteforce-float"),
+        pytest.param(lambda: cell(2.0, 1, P23), id="cell-depth-float"),
+        pytest.param(lambda: cell(2, 1.0, P23), id="cell-index-float"),
+        pytest.param(lambda: cell(2, True, P23), id="cell-index-bool"),
+        pytest.param(lambda: cell_word(2, 1.0), id="word-index-float"),
+        pytest.param(lambda: cell_word(True, 1), id="word-depth-bool"),
+    ])
+    def test_non_integer_depth_or_index(self, call):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            call()
 
 
 class TestClassify:
