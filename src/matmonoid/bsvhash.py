@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
-from .errors import InvalidParams, LimitExceeded, enum_limit, require_int
+from .errors import InvalidParams, require_enum_size, require_int
 from .extremal import collision_horizon
 from .matrix import MonoidParams
 
@@ -301,12 +301,9 @@ def exhaustive_collision_check(
     the 2^{max_len+1}-1 strings hashes distinctly.
     """
     require_int("max_len", max_len, 0)
-    cap = enum_limit(limit, DEFAULT_COLLISION_LIMIT)
-    if 1 << (max_len + 1) > cap:
-        raise LimitExceeded(
-            f"max_len {max_len} needs {(1 << (max_len + 1)) - 1} states, "
-            f"above the limit of {cap}"
-        )
+    require_enum_size(
+        f"max_len {max_len} needs", max_len + 1, "- 1 states", limit, DEFAULT_COLLISION_LIMIT
+    )
     u, v, p = params.u, params.v, params.p
     root = (1 % p, 0, 0, 1 % p)
     # A state's value is its string's shortlex code, (1 << length) | index,

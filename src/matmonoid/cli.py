@@ -17,24 +17,23 @@ from .errors import MatMonoidError
 from .matrix import IDENTITY, MonoidParams
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse type: an integer of at least low, described as kind."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {value}")
+        return value
+
+    return convert
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+_positive_int = _int_at_least(1, "a positive integer")
+_nonneg_int = _int_at_least(0, "a nonnegative integer")
 
 
 def _add_uv(parser: argparse.ArgumentParser) -> None:
@@ -207,6 +206,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     params = MonoidParams(args.u, args.v)
+    # Rows grow with depth: if the deepest row is within the cap, all are.
+    tree.require_row(args.depth)
     for n in range(args.depth + 1):
         cells = [m.to_json() for m in tree.row(IDENTITY, params, n)]
         print(json.dumps({"depth": n, "cells": cells}))

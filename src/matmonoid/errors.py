@@ -53,16 +53,22 @@ def require_int(name: str, value: object, low: int) -> None:
         raise InvalidParams(f"{name} must be {kind}, got {value!r}")
 
 
-def enum_limit(limit: int | None, default: int) -> int:
-    """The enumeration cap: limit if given, else MATMONOID_ENUM_LIMIT, else default."""
-    if limit is not None:
-        return limit
-    env = os.environ.get(ENUM_LIMIT_ENV)
-    if env is not None:
+def require_enum_size(what: str, k: int, noun: str, limit: int | None, default: int) -> None:
+    """Raise LimitExceeded if 2^k is above the cap: limit, else MATMONOID_ENUM_LIMIT, else default.
+
+    2^k > cap exactly when cap < 1 or k >= cap.bit_length(), so 2^k is never built.
+    """
+    cap = limit
+    if limit is None:
+        env = os.environ.get(ENUM_LIMIT_ENV)
         try:
-            return int(env)
+            cap = default if env is None else int(env)
         except ValueError:
-            raise LimitExceeded(
-                f"{ENUM_LIMIT_ENV} must be an integer, got {env!r}"
-            ) from None
-    return default
+            raise LimitExceeded(f"{ENUM_LIMIT_ENV} must be an integer, got {env!r}") from None
+    elif type(limit) is not int:
+        raise InvalidParams(f"limit must be an integer, got {limit!r}")
+    if cap < 1 or k >= cap.bit_length():
+        raise LimitExceeded(
+            f"{what} 2^{k} {noun}, above the limit of {cap}; "
+            f"raise it with limit= or {ENUM_LIMIT_ENV}"
+        )

@@ -84,23 +84,27 @@ class AlphaGammaPair:
     gamma: int
 
 
+def _require_start_column(a: int, c: int) -> None:
+    if type(a) is not int or type(c) is not int or a < 0 or c < 0 or a == c == 0:
+        raise InvalidParams(f"start column must be nonnegative and nonzero, got ({a!r}, {c!r})")
+
+
 def alpha_gamma(params: MonoidParams, a: int, c: int, n: int) -> AlphaGammaPair:
-    """Iterate the map (alpha, gamma) -> (alpha + v*gamma, u*alpha + (1+uv)*gamma).
+    """n steps of the map (alpha, gamma) -> (alpha + v*gamma, u*alpha + (1+uv)*gamma).
 
     The map is left-multiplication of the column (alpha, gamma) by
-    L_u*R_v, so the result is the left column of (L_u R_v)^n applied to a
+    M = L_u*R_v, so the result is the left column of M^n applied to a
     matrix with left column (a, c). Starting from (1, u) - the left
-    column of L_u - gamma_n is the (2,1) entry of (L_u R_v)^n L_u.
+    column of L_u - gamma_n is the (2,1) entry of M^n L_u. By Cayley-Hamilton
+    M^n = U_n*M - U_{n-1}*I for P = 2+uv, with U_{n-1} = (P*U_n - V_n)/2.
     """
-    if type(a) is not int or type(c) is not int or a < 0 or c < 0:
-        raise InvalidParams(f"start column must be nonnegative integers, got ({a!r}, {c!r})")
-    if a == 0 and c == 0:
-        raise InvalidParams("start column must not be (0, 0)")
+    _require_start_column(a, c)
     require_int("n", n, 0)
     u, v = params.u, params.v
-    alpha, gamma = a, c
-    for _ in range(n):
-        alpha, gamma = alpha + v * gamma, u * alpha + (1 + u * v) * gamma
+    pair = lucas(2 + u * v, n)
+    prev = ((2 + u * v) * pair.U - pair.V) // 2
+    alpha = pair.U * (a + v * c) - prev * a
+    gamma = pair.U * (u * a + (1 + u * v) * c) - prev * c
     return AlphaGammaPair(n, alpha, gamma)
 
 
@@ -141,8 +145,7 @@ class ClosedFormParams:
 
 def closed_form_params(params: MonoidParams, a: int, c: int) -> ClosedFormParams:
     """Eigen data for the start column (a, c), same convention as alpha_gamma."""
-    if type(a) is not int or type(c) is not int or a < 0 or c < 0 or a == c == 0:
-        raise InvalidParams(f"start column must be nonnegative and nonzero, got ({a!r}, {c!r})")
+    _require_start_column(a, c)
     u, v = params.u, params.v
     with mpmath.workprec(FLOAT_PRECISION_BITS):
         uv = mpmath.mpf(u * v)
@@ -297,16 +300,13 @@ def fseq(params: MonoidParams, n: int) -> int:
 
     With (u, v) = (1, 1) this is the Fibonacci sequence. Oriented as
     (min(u,v), max(u,v)), the value at n+1 equals mu_depth at n whenever
-    u, v > 1 or u = v = 1.
+    u, v > 1 or u = v = 1. With P = 2+uv, F_{2k} = v*U_k and
+    F_{2k+1} = U_{k+1} - U_k = (V_{k+1} - uv*U_{k+1})/2.
     """
     require_int("index", n, 0)
-    if n == 0:
-        return 0
     u, v = params.u, params.v
-    prev, cur = 0, 1
-    for m in range(2, n + 1):
-        prev, cur = cur, (u if m % 2 else v) * cur + prev
-    return cur
+    pair = lucas(2 + u * v, (n + 1) // 2)
+    return v * pair.U if n % 2 == 0 else (pair.V - u * v * pair.U) // 2
 
 
 def collision_horizon(params: MonoidParams, bound: int) -> int:

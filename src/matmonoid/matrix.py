@@ -123,9 +123,9 @@ def validate_word(word: str) -> None:
     """Reject anything that is not a string over the alphabet {L, R}."""
     if not isinstance(word, str):
         raise ValueError("word must be a string over {L, R}")
-    for ch in word:
-        if ch not in "LR":
-            raise ValueError(f"invalid word letter {ch!r}; expected 'L' or 'R'")
+    bad = word.lstrip("LR")
+    if bad:
+        raise ValueError(f"invalid word letter {bad[0]!r}; expected 'L' or 'R'")
 
 
 def word_to_matrix(word: str, params: MonoidParams) -> Mat2:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Iterator
 
+from .errors import require_int
 from .matrix import validate_word
 
 __all__ = [
@@ -42,7 +43,7 @@ class PolyN:
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise ValueError("coefficients must be integers")
             if c < 0:
                 raise ValueError("coefficients must be nonnegative")
@@ -86,15 +87,13 @@ class PolyN:
 
     def shift(self, k: int) -> "PolyN":
         """Multiply by x^k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
+        require_int("shift", k, 0)
         if not self.coeffs:
             return self
         return PolyN((0,) * k + self.coeffs)
 
     def scale(self, c: int) -> "PolyN":
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
+        require_int("scale factor", c, 0)
         return PolyN(c * x for x in self.coeffs)
 
     def __call__(self, r: int) -> int:
@@ -175,8 +174,7 @@ def f_poly(n: int) -> PolyN:
     Closed form: sum over i of C(2n-i, i) x^(n-i). Satisfies the
     recurrence f(n+1) = f(n) + g(n) from f(0) = 1.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    require_int("n", n, 0)
     return _from_terms((n - i, _binom(2 * n - i, i)) for i in range(n + 1))
 
 
@@ -186,8 +184,7 @@ def g_poly(n: int) -> PolyN:
     Closed form: sum over i of C(2n+1-i, i) x^(n+1-i). Satisfies
     g(n+1) = x*f(n+1) + g(n) from g(0) = x.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    require_int("n", n, 0)
     return _from_terms((n + 1 - i, _binom(2 * n + 1 - i, i)) for i in range(n + 1))
 
 
@@ -197,8 +194,7 @@ def h_poly(n: int) -> PolyN:
     Closed form: sum over i of (C(2n-i, i) + C(2n-1-i, i)) x^(n-i).
     Satisfies h(n+1) = (1+x)h(n) + i(n) from h(1) = 2x+1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_int("n", n, 1)
     return _from_terms(
         (n - i, _binom(2 * n - i, i) + _binom(2 * n - 1 - i, i)) for i in range(n + 1)
     )
@@ -210,8 +206,7 @@ def i_poly(n: int) -> PolyN:
     Closed form: sum over i < n of (C(2n-1-i, i) + C(2n-2-i, i)) x^(n-i).
     Satisfies i(n+1) = x*h(n) + i(n) from i(1) = 2x.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_int("n", n, 1)
     return _from_terms(
         (n - i, _binom(2 * n - 1 - i, i) + _binom(2 * n - 2 - i, i)) for i in range(n)
     )
@@ -246,10 +241,8 @@ def pascal_merge_check(a: int, b: int) -> bool:
 
     Requires a >= 1 and b >= 2a-2 so every binomial is conventional.
     """
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    if b < 2 * a - 2:
-        raise ValueError("b must be >= 2a-2")
+    require_int("a", a, 1)
+    require_int("b", b, 2 * a - 2)
     lhs = _from_terms((a - i, _binom(b - i, i)) for i in range(a))
     lhs = lhs + _from_terms((a + 1 - i, _binom(b + 1 - i, i)) for i in range(a + 1))
     rhs = _from_terms((a + 1 - i, _binom(b + 2 - i, i)) for i in range(a + 1))
@@ -269,7 +262,7 @@ class BiPolyN:
     def __init__(self, coeffs: dict[tuple[int, int], int] | None = None) -> None:
         clean: dict[tuple[int, int], int] = {}
         for (i, j), c in (coeffs or {}).items():
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:
                 raise ValueError("coefficients must be nonnegative integers")
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")

@@ -150,7 +150,7 @@ def check_alternating_column(max_depth: int) -> CheckResult:
             m = word_to_matrix("LR" * n + "L", params)
             if (pair.alpha, pair.gamma) != (m.a, m.c):
                 failures.append(
-                    f"u={u} v={v} n={n}: recurrence ({pair.alpha},{pair.gamma}) "
+                    f"u={u} v={v} n={n}: alpha_gamma ({pair.alpha},{pair.gamma}) "
                     f"!= product column ({m.a},{m.c})"
                 )
             for exact, approx in ((pair.alpha, cf.alpha_float(n)), (pair.gamma, cf.gamma_float(n))):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import starmap
 
-from .errors import IndexOutOfRange, InvalidParams, LimitExceeded, enum_limit
+from .errors import IndexOutOfRange, InvalidParams, require_enum_size
 from .matrix import (
     IDENTITY,
     Mat2,
@@ -78,10 +78,7 @@ class TreeRow:
 
     def cell(self, i: int) -> Mat2:
         """1-indexed access, i in {1, ..., 2^depth}."""
-        if not 1 <= i <= len(self.cells):
-            raise IndexOutOfRange(
-                f"cell index {i} out of range 1..{len(self.cells)}"
-            )
+        _require_cell(self.depth, i)
         return self.cells[i - 1]
 
     def __len__(self) -> int:
@@ -103,14 +100,23 @@ def _require_depth(n: int) -> None:
         raise IndexOutOfRange(f"row depth must be nonnegative, got {n}")
 
 
+def _require_cell(n: int, i: int) -> None:
+    _require_depth(n)
+    if type(i) is not int:
+        raise InvalidParams(f"cell index must be an integer, got {i!r}")
+    if i < 1 or (i - 1).bit_length() > n:
+        raise IndexOutOfRange(f"cell index {i} out of range 1..2^{n}")
+
+
+def require_row(n: int, limit: int | None = None) -> None:
+    """Check that row n can be enumerated: a depth whose 2^n cells are within the cap."""
+    _require_depth(n)
+    require_enum_size(f"row at depth {n} has", n, "cells", limit, DEFAULT_ROW_LIMIT)
+
+
 def _row_cells(root: Mat2, params: MonoidParams, n: int, limit: int | None) -> list:
     """The 2^n depth-n descendants of root as (a, b, c, d), left to right."""
-    _require_depth(n)
-    cap = enum_limit(limit, DEFAULT_ROW_LIMIT)
-    if 1 << n > cap:
-        raise LimitExceeded(
-            f"row at depth {n} has {1 << n} cells, above the limit of {cap}"
-        )
+    require_row(n, limit)
     u, v = params.u, params.v
     cells = [(root.a, root.b, root.c, root.d)]
     for _ in range(n):
@@ -152,11 +158,7 @@ def cell_word(n: int, i: int) -> str:
     child = L). The path applies generators on the left from the root
     outward, so the left-to-right word is the path read leaf-to-root.
     """
-    _require_depth(n)
-    if type(i) is not int:
-        raise InvalidParams(f"cell index must be an integer, got {i!r}")
-    if not 1 <= i <= 1 << n:
-        raise IndexOutOfRange(f"cell index {i} out of range 1..{1 << n}")
+    _require_cell(n, i)
     return format(i - 1, f"0{n}b")[::-1].translate(_BITS_TO_LETTERS) if n else ""
 
 

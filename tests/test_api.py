@@ -1,4 +1,5 @@
-"""The package's public names, and the integer check every parameter shares."""
+"""The package's public names, the integer check every parameter shares,
+and the enumeration cap every brute-force search shares."""
 import pytest
 
 import matmonoid
@@ -8,19 +9,26 @@ from matmonoid import (
     Mat2,
     MonoidParams,
     alpha_gamma,
+    IDENTITY,
+    ONE,
+    LimitExceeded,
     bsvhash,
     closed_form_params,
     errors,
     exhaustive_collision_check,
     extremal,
+    f_poly,
+    h_poly,
     lucas,
     matrix,
     mu_depth,
+    pascal_merge_check,
     polydom,
+    row,
     tree,
     witness,
 )
-from matmonoid.errors import require_int
+from matmonoid.errors import ENUM_LIMIT_ENV, require_enum_size, require_int
 
 MODULES = (bsvhash, errors, extremal, matrix, polydom, tree)
 
@@ -91,6 +99,32 @@ class TestRequireInt:
             MonoidParams(0, 1)
 
 
+class TestRequireEnumSize:
+    @pytest.mark.parametrize("cap", [-1, 0, 1, 2, 3, 15, 16, 17, 2**20, 2**64])
+    def test_refuses_exactly_when_two_to_the_k_exceeds_the_cap(self, cap, monkeypatch):
+        monkeypatch.setenv(ENUM_LIMIT_ENV, str(cap))
+        for k in range(71):
+            for limit in (cap, None):
+                try:
+                    require_enum_size("x has", k, "items", limit, 1)
+                    refused = False
+                except LimitExceeded:
+                    refused = True
+                assert refused == (1 << k > cap), (k, cap, limit)
+
+    def test_message_names_the_size_the_cap_and_both_knobs(self):
+        with pytest.raises(LimitExceeded) as exc:
+            require_enum_size("row at depth 3 has", 3, "cells", 4, 2**20)
+        assert str(exc.value) == (
+            "row at depth 3 has 2^3 cells, above the limit of 4; "
+            "raise it with limit= or MATMONOID_ENUM_LIMIT"
+        )
+
+    def test_huge_size_is_refused_without_building_it(self):
+        with pytest.raises(LimitExceeded, match=r"^x has 2\^1000000000000 items"):
+            require_enum_size("x has", 10**12, "items", None, 2**20)
+
+
 @pytest.mark.parametrize("call,error", [
     pytest.param(lambda: MonoidParams(True, 1), InvalidParams, id="MonoidParams"),
     pytest.param(lambda: HashParams(True, 3, 5), InvalidParams, id="HashParams"),
@@ -103,6 +137,12 @@ class TestRequireInt:
     ),
     pytest.param(lambda: alpha_gamma(P23, True, 1, 2), InvalidParams, id="alpha_gamma"),
     pytest.param(lambda: closed_form_params(P23, 1.5, 2), InvalidParams, id="closed_form_params"),
+    pytest.param(lambda: f_poly(2.5), InvalidParams, id="f_poly-float"),
+    pytest.param(lambda: f_poly(True), InvalidParams, id="f_poly-bool"),
+    pytest.param(lambda: h_poly(1.5), InvalidParams, id="h_poly"),
+    pytest.param(lambda: pascal_merge_check(1.5, 2), InvalidParams, id="pascal_merge_check"),
+    pytest.param(lambda: ONE.shift(1.5), InvalidParams, id="PolyN.shift"),
+    pytest.param(lambda: row(IDENTITY, P23, 2, limit=16.0), InvalidParams, id="row-limit"),
 ])
 def test_bool_and_non_integer_parameters_are_rejected(call, error):
     with pytest.raises(error):

@@ -118,6 +118,13 @@ class TestMuCommand:
                 "mu", "--u", "2", "--v", "3", "--depth", "0", "--method", method])
             assert (code, out) == (0, "1\n")
 
+    def test_brute_past_the_cap_names_the_knob(self, capsys):
+        code, out, err = run(capsys, [
+            "mu", "--u", "1", "--v", "1", "--depth", "20000", "--method", "brute"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: row at depth 20000 has 2^20000 cells")
+        assert "MATMONOID_ENUM_LIMIT" in err
+
     def test_large_depth_stays_exact_decimal(self, capsys):
         code, out, _ = run(capsys, ["mu", "--u", "1", "--v", "1", "--depth", "300"])
         assert code == 0
@@ -205,9 +212,10 @@ class TestTreeCommand:
 
     def test_enumeration_cap_is_a_domain_error(self, capsys, monkeypatch):
         monkeypatch.setenv("MATMONOID_ENUM_LIMIT", "4")
-        code, _, err = run(capsys, ["tree", "--u", "2", "--v", "3", "--depth", "3"])
+        code, out, err = run(capsys, ["tree", "--u", "2", "--v", "3", "--depth", "3"])
         assert code == 1
         assert err.startswith("error:")
+        assert out == ""
 
 
 class TestVerifyCommand:

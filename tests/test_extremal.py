@@ -35,6 +35,24 @@ def rel_close(approx, exact):
     return abs(approx - exact) / exact < REL_TOL
 
 
+def alpha_gamma_by_steps(params, a, c, n):
+    """The left-column map applied n times: the reference for alpha_gamma."""
+    u, v = params.u, params.v
+    for _ in range(n):
+        a, c = a + v * c, u * a + (1 + u * v) * c
+    return a, c
+
+
+def fseq_by_steps(params, n):
+    """F_n by its two-periodic recurrence: the reference for fseq."""
+    if n == 0:
+        return 0
+    prev, cur = 0, 1
+    for m in range(2, n + 1):
+        prev, cur = cur, (params.u if m % 2 else params.v) * cur + prev
+    return cur
+
+
 class TestLucas:
     def test_base_cases(self):
         assert (lucas(8, 0).U, lucas(8, 0).V) == (0, 2)
@@ -117,6 +135,16 @@ class TestAlphaGamma:
         assert cur.alpha == prev.alpha + v * prev.gamma
         assert cur.gamma == u * prev.alpha + (1 + u * v) * prev.gamma
         assert cur.gamma == u * cur.alpha + prev.gamma
+
+    @pytest.mark.parametrize("u", range(1, 6))
+    def test_ladder_matches_the_plain_steps(self, u):
+        for v in range(1, 6):
+            params = MonoidParams(u, v)
+            for a, c in [(1, u), (1, 0), (0, 1), (3, 7), (5, 2)]:
+                for n in [*range(60), 257, 1000]:
+                    pair = alpha_gamma(params, a, c, n)
+                    assert (pair.n, pair.alpha, pair.gamma) == (
+                        n, *alpha_gamma_by_steps(params, a, c, n)), (u, v, a, c, n)
 
     def test_domain_validation(self):
         with pytest.raises(InvalidParams):
@@ -272,6 +300,13 @@ class TestFseq:
         assert fseq(params, 2) == mu_depth(params, 1) == 2
         assert fseq(params, 3) == 3
         assert mu_depth(params, 2) == 4
+
+    @pytest.mark.parametrize("u", range(1, 6))
+    def test_ladder_matches_the_plain_recurrence(self, u):
+        for v in range(1, 6):
+            params = MonoidParams(u, v)
+            for n in [*range(60), 257, 1000, 1001]:
+                assert fseq(params, n) == fseq_by_steps(params, n), (u, v, n)
 
     def test_domain_validation(self):
         with pytest.raises(InvalidParams):

@@ -396,6 +396,11 @@ class TestExhaustiveCollisionCheck:
         with pytest.raises(LimitExceeded):
             exhaustive_collision_check(HP235, 1)
 
+    @pytest.mark.parametrize("max_len", [20000, 10**8])
+    def test_deep_search_names_the_knob(self, max_len):
+        with pytest.raises(LimitExceeded, match=f"2\\^{max_len + 1} - 1 states.*MATMONOID_ENUM_LIMIT"):
+            exhaustive_collision_check(HP235, max_len)
+
     def test_rejects_negative_max_len(self):
         with pytest.raises(InvalidParams):
             exhaustive_collision_check(HP235, -1)

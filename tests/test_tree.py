@@ -132,6 +132,15 @@ class TestEnumerationLimits:
         with pytest.raises(LimitExceeded):
             mu_row_bruteforce(P23, 5, limit=16)
 
+    @pytest.mark.parametrize("n", [20000, 10**8])
+    def test_deep_rows_name_the_knob(self, n):
+        # 2^n has far more than 4300 decimal digits here; the refusal must
+        # neither write it out nor fail on the conversion.
+        with pytest.raises(LimitExceeded, match=f"2\\^{n} cells.*MATMONOID_ENUM_LIMIT"):
+            row(IDENTITY, P23, n)
+        with pytest.raises(LimitExceeded, match="limit= or MATMONOID_ENUM_LIMIT"):
+            mu_row_bruteforce(P23, n)
+
 
 class TestMuRowBruteforce:
     def test_known_values(self):
@@ -170,7 +179,7 @@ class TestCellAccess:
             for i in range(1, (1 << n) + 1, max(1, (1 << n) // 16)):
                 assert word_to_matrix(cell_word(n, i), P23) == cell(n, i, P23)
 
-    @pytest.mark.parametrize("n,i", [(2, 0), (2, 5), (-1, 1), (0, 2)])
+    @pytest.mark.parametrize("n,i", [(2, 0), (2, 5), (-1, 1), (0, 2), (20000, 0)])
     def test_index_validation(self, n, i):
         with pytest.raises(IndexOutOfRange):
             cell(n, i, P23)
@@ -186,6 +195,8 @@ class TestCellAccess:
         pytest.param(lambda: cell(2, True, P23), id="cell-index-bool"),
         pytest.param(lambda: cell_word(2, 1.0), id="word-index-float"),
         pytest.param(lambda: cell_word(True, 1), id="word-depth-bool"),
+        pytest.param(lambda: row(IDENTITY, P23, 2).cell(1.0), id="row-cell-float"),
+        pytest.param(lambda: row(IDENTITY, P23, 2).cell(True), id="row-cell-bool"),
     ])
     def test_non_integer_depth_or_index(self, call):
         with pytest.raises(InvalidParams, match="must be an integer"):
