@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
-from .errors import InvalidParams, require_enum_size, require_int
+from .errors import InvalidParams, require_enum_size, require_int, show
 from .extremal import collision_horizon
 from .matrix import MonoidParams
 
@@ -49,7 +49,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # Miller-Rabin with these fixed bases is a proven deterministic primality
 # test for all n below 3317044064679887385961981 (~3.3e24).
-_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _DETERMINISTIC_LIMIT = 3317044064679887385961981
 _PROBABILISTIC_ROUNDS = 64
 
@@ -105,7 +105,7 @@ class HashParams:
         require_int("v", self.v, 1)
         require_int("p", self.p, 2)
         if not is_probable_prime(self.p):
-            raise InvalidParams(f"p must be prime, got {self.p}")
+            raise InvalidParams(f"p must be prime, got {show(self.p)}")
 
     @property
     def byte_width(self) -> int:
@@ -155,7 +155,7 @@ class HashState:
             self.b = (self.b + self.params.v * self.a) % p
             self.d = (self.d + self.params.v * self.c) % p
         else:
-            raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+            raise ValueError(f"bit must be 0 or 1, got {show(bit)}")
         self.bits_consumed += 1
         return self
 
@@ -302,7 +302,7 @@ def exhaustive_collision_check(
     """
     require_int("max_len", max_len, 0)
     require_enum_size(
-        f"max_len {max_len} needs", max_len + 1, "- 1 states", limit, DEFAULT_COLLISION_LIMIT
+        f"max_len {show(max_len)} needs", max_len + 1, "- 1 states", limit, DEFAULT_COLLISION_LIMIT
     )
     u, v, p = params.u, params.v, params.p
     root = (1 % p, 0, 0, 1 % p)

@@ -1,4 +1,4 @@
-"""Exception types, the shared integer check, and the enumeration cap."""
+"""Exception types, the value renderer, the shared integer check, and the enumeration cap."""
 from __future__ import annotations
 
 import os
@@ -44,13 +44,25 @@ class WitnessMismatch(MatMonoidError):
     """
 
 
+def show(value: object) -> str:
+    """repr(value) for an error message; an int too long to print in decimal
+    (CPython's int_max_str_digits) is written as e.g. <16610-bit integer>."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}{value.bit_length()}-bit integer>"
+
+
 def require_int(name: str, value: object, low: int) -> None:
     """Raise InvalidParams unless value is an int (not a bool) and at least low."""
     if type(value) is not int or value < low:
         kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
             low, f"an integer >= {low}"
         )
-        raise InvalidParams(f"{name} must be {kind}, got {value!r}")
+        raise InvalidParams(f"{name} must be {kind}, got {show(value)}")
 
 
 def require_enum_size(what: str, k: int, noun: str, limit: int | None, default: int) -> None:
@@ -69,6 +81,6 @@ def require_enum_size(what: str, k: int, noun: str, limit: int | None, default: 
         raise InvalidParams(f"limit must be an integer, got {limit!r}")
     if cap < 1 or k >= cap.bit_length():
         raise LimitExceeded(
-            f"{what} 2^{k} {noun}, above the limit of {cap}; "
+            f"{what} 2^{show(k)} {noun}, above the limit of {show(cap)}; "
             f"raise it with limit= or {ENUM_LIMIT_ENV}"
         )

@@ -5,14 +5,13 @@ integer sequence with a three-term linear recurrence behind it. This
 module evaluates it exactly through Lucas sequences for x^2 - Px + 1
 with P = 2+uv (O(log n) big-integer steps), builds explicit witness
 words attaining the maximum, runs the left-column dynamical system, and
-cross-checks everything against the radical closed forms in 120-bit
-float arithmetic.
+cross-checks everything against the radical closed forms in 37-digit
+(>= 120-bit) decimal arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import mpmath
+from decimal import MAX_EMAX, Context, Decimal, localcontext
 
 from .errors import InvalidParams, WitnessMismatch, require_int
 from .matrix import Mat2, MonoidParams, mu, word_to_matrix
@@ -32,9 +31,11 @@ __all__ = [
     "witness",
 ]
 
-# Mantissa bits for all float cross-checks; ~36 significant decimal
-# digits, comfortably beyond the 1e-9 relative tolerances used in tests.
-FLOAT_PRECISION_BITS = 120
+# Every closed-form evaluation works in a copy of this context: 37 digits
+# (at least 120 bits), far beyond the 1e-9 tolerances of the checks, and
+# the widest exponent range so deep powers do not overflow. The caller's
+# decimal context is never touched.
+_CONTEXT = Context(prec=37, Emax=MAX_EMAX)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +111,7 @@ def alpha_gamma(params: MonoidParams, a: int, c: int, n: int) -> AlphaGammaPair:
 
 @dataclass(frozen=True, slots=True)
 class ClosedFormParams:
-    """Eigen data of the left-column map [[1, v], [u, 1+uv]], at 120 bits.
+    """Eigen data of the left-column map [[1, v], [u, 1+uv]], in 37-digit decimal.
 
     q_plus/q_minus = 2+uv +- sqrt(uv(4+uv)) are twice the eigenvalues
     (q_plus*q_minus = 4, lambda1*lambda2 = 1); p_plus/p_minus =
@@ -121,25 +122,25 @@ class ClosedFormParams:
         alpha_n = (c1*lambda1^n*p_minus - c2*lambda2^n*p_plus) / (2*sqrt(u))
     """
 
-    p_plus: mpmath.mpf
-    p_minus: mpmath.mpf
-    q_plus: mpmath.mpf
-    q_minus: mpmath.mpf
-    lambda1: mpmath.mpf
-    lambda2: mpmath.mpf
-    c1: mpmath.mpf
-    c2: mpmath.mpf
+    p_plus: Decimal
+    p_minus: Decimal
+    q_plus: Decimal
+    q_minus: Decimal
+    lambda1: Decimal
+    lambda2: Decimal
+    c1: Decimal
+    c2: Decimal
     u: int
 
-    def alpha_float(self, n: int) -> mpmath.mpf:
-        with mpmath.workprec(FLOAT_PRECISION_BITS):
+    def alpha_float(self, n: int) -> Decimal:
+        with localcontext(_CONTEXT):
             return (
                 self.c1 * self.lambda1**n * self.p_minus
                 - self.c2 * self.lambda2**n * self.p_plus
-            ) / (2 * mpmath.sqrt(self.u))
+            ) / (2 * Decimal(self.u).sqrt())
 
-    def gamma_float(self, n: int) -> mpmath.mpf:
-        with mpmath.workprec(FLOAT_PRECISION_BITS):
+    def gamma_float(self, n: int) -> Decimal:
+        with localcontext(_CONTEXT):
             return self.c1 * self.lambda1**n + self.c2 * self.lambda2**n
 
 
@@ -147,12 +148,12 @@ def closed_form_params(params: MonoidParams, a: int, c: int) -> ClosedFormParams
     """Eigen data for the start column (a, c), same convention as alpha_gamma."""
     _require_start_column(a, c)
     u, v = params.u, params.v
-    with mpmath.workprec(FLOAT_PRECISION_BITS):
-        uv = mpmath.mpf(u * v)
-        disc = mpmath.sqrt(uv * (4 + uv))
+    uv = u * v
+    with localcontext(_CONTEXT):
+        disc = Decimal(uv * (4 + uv)).sqrt()
         q_plus, q_minus = 2 + uv + disc, 2 + uv - disc
-        root_u = mpmath.sqrt(u)
-        edge = mpmath.sqrt(v * (4 + uv))
+        root_u = Decimal(u).sqrt()
+        edge = Decimal(v * (4 + uv)).sqrt()
         p_plus, p_minus = v * root_u + edge, -v * root_u + edge
         # Solve (a, c) = c1*(p_minus/(2*sqrt(u)), 1) + c2*(-p_plus/(2*sqrt(u)), 1);
         # the denominator p_plus + p_minus equals 2*sqrt(v(4+uv)).
@@ -171,8 +172,8 @@ def closed_form_params(params: MonoidParams, a: int, c: int) -> ClosedFormParams
         )
 
 
-def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> mpmath.mpf:
-    """Radical closed form for the maximal entry, in 120-bit floats.
+def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> Decimal:
+    """Radical closed form for the maximal entry, in 37-digit (>= 120-bit) decimal.
 
     depth_parity "odd" evaluates the depth-(2n+1) formula
 
@@ -185,7 +186,9 @@ def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> mpmath
                  + (sqrt(t) p+ - 2) q-^{n+1}) / (2^{n+2} sqrt(4+uv))    s = 1
 
     with q+- = 2+uv +- sqrt(uv(4+uv)) and p+- = +-s*sqrt(t) + sqrt(s(4+uv)).
-    Float cross-check only; mu_depth is the exact source of truth.
+    The powers are taken as lambda+-^{n+1} = (q+-/2)^{n+1}, and at s = 1
+    sqrt(4+uv) is sqrt(s(4+uv)). Float cross-check only; mu_depth is the
+    exact source of truth.
     """
     require_int("n", n, 0)
     if depth_parity not in ("odd", "even"):
@@ -193,25 +196,17 @@ def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> mpmath
     s, t = params.s, params.t
     # Oriented as (u, v) = (t, s), the eigen data holds exactly these q+- and p+-.
     cf = closed_form_params(MonoidParams(t, s), 1, t)
-    q_plus, q_minus, p_plus, p_minus = cf.q_plus, cf.q_minus, cf.p_plus, cf.p_minus
-    with mpmath.workprec(FLOAT_PRECISION_BITS):
-        uv = mpmath.mpf(s * t)
-        root_t = mpmath.sqrt(t)
-        edge = mpmath.sqrt(s * (4 + uv))
+    with localcontext(_CONTEXT):
+        root_t = Decimal(t).sqrt()
+        edge = Decimal(s * (4 + s * t)).sqrt()
+        up, down = cf.lambda1 ** (n + 1), cf.lambda2 ** (n + 1)
         if depth_parity == "odd":
-            return root_t * (q_plus ** (n + 1) - q_minus ** (n + 1)) / (2 ** (n + 1) * edge)
+            return root_t * (up - down) / edge
         if s > 1:
-            return (
-                p_plus * q_plus ** (n + 1) + p_minus * q_minus ** (n + 1)
-            ) / (2 ** (n + 2) * edge)
-        return (
-            root_t
-            * (
-                (root_t * p_minus + 2) * q_plus ** (n + 1)
-                + (root_t * p_plus - 2) * q_minus ** (n + 1)
-            )
-            / (2 ** (n + 2) * mpmath.sqrt(4 + uv))
-        )
+            return (cf.p_plus * up + cf.p_minus * down) / (2 * edge)
+        return root_t * (
+            (root_t * cf.p_minus + 2) * up + (root_t * cf.p_plus - 2) * down
+        ) / (2 * edge)
 
 
 def mu_depth(params: MonoidParams, n: int) -> int:

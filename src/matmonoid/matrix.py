@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInMonoid, require_int
+from .errors import NotInMonoid, require_int, show
 
 __all__ = [
     "MonoidParams",
@@ -157,7 +157,7 @@ def factor(m: Mat2, params: MonoidParams) -> str:
     u, v = params.u, params.v
     a, b, c, d = m.a, m.b, m.c, m.d
     if a * d - b * c != 1:
-        raise NotInMonoid(f"determinant is {a * d - b * c}, not 1")
+        raise NotInMonoid(f"determinant is {show(a * d - b * c)}, not 1")
     letters: list[str] = []
     while (a, b, c, d) != (1, 0, 0, 1):
         lower = c >= u * a and d >= u * b

@@ -264,8 +264,8 @@ class BiPolyN:
         for (i, j), c in (coeffs or {}).items():
             if type(c) is not int or c < 0:
                 raise ValueError("coefficients must be nonnegative integers")
-            if i < 0 or j < 0:
-                raise ValueError("exponents must be nonnegative")
+            require_int("exponent", i, 0)
+            require_int("exponent", j, 0)
             if c:
                 clean[(i, j)] = c
         object.__setattr__(self, "coeffs", clean)
@@ -293,8 +293,8 @@ class BiPolyN:
 
     def shift(self, dx: int, dy: int) -> "BiPolyN":
         """Multiply by X^dx Y^dy."""
-        if dx < 0 or dy < 0:
-            raise ValueError("shift must be nonnegative")
+        require_int("shift", dx, 0)
+        require_int("shift", dy, 0)
         return BiPolyN({(i + dx, j + dy): c for (i, j), c in self.coeffs.items()})
 
     def swap_vars(self) -> "BiPolyN":

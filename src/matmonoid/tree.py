@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import starmap
 
-from .errors import IndexOutOfRange, InvalidParams, require_enum_size
+from .errors import IndexOutOfRange, InvalidParams, require_enum_size, show
 from .matrix import (
     IDENTITY,
     Mat2,
@@ -97,7 +97,7 @@ def _require_depth(n: int) -> None:
     if type(n) is not int:
         raise InvalidParams(f"row depth must be an integer, got {n!r}")
     if n < 0:
-        raise IndexOutOfRange(f"row depth must be nonnegative, got {n}")
+        raise IndexOutOfRange(f"row depth must be nonnegative, got {show(n)}")
 
 
 def _require_cell(n: int, i: int) -> None:
@@ -105,13 +105,13 @@ def _require_cell(n: int, i: int) -> None:
     if type(i) is not int:
         raise InvalidParams(f"cell index must be an integer, got {i!r}")
     if i < 1 or (i - 1).bit_length() > n:
-        raise IndexOutOfRange(f"cell index {i} out of range 1..2^{n}")
+        raise IndexOutOfRange(f"cell index {show(i)} out of range 1..2^{show(n)}")
 
 
 def require_row(n: int, limit: int | None = None) -> None:
     """Check that row n can be enumerated: a depth whose 2^n cells are within the cap."""
     _require_depth(n)
-    require_enum_size(f"row at depth {n} has", n, "cells", limit, DEFAULT_ROW_LIMIT)
+    require_enum_size(f"row at depth {show(n)} has", n, "cells", limit, DEFAULT_ROW_LIMIT)
 
 
 def _row_cells(root: Mat2, params: MonoidParams, n: int, limit: int | None) -> list:

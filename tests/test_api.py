@@ -1,9 +1,16 @@
 """The package's public names, the integer check every parameter shares,
-and the enumeration cap every brute-force search shares."""
+the enumeration cap every brute-force search shares, how error messages
+print huge integers, and running with the standard library alone."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import matmonoid
 from matmonoid import (
+    BiPolyN,
     HashParams,
     InvalidParams,
     Mat2,
@@ -18,6 +25,7 @@ from matmonoid import (
     exhaustive_collision_check,
     extremal,
     f_poly,
+    factor,
     h_poly,
     lucas,
     matrix,
@@ -28,7 +36,16 @@ from matmonoid import (
     tree,
     witness,
 )
-from matmonoid.errors import ENUM_LIMIT_ENV, require_enum_size, require_int
+from matmonoid.errors import (
+    ENUM_LIMIT_ENV,
+    IndexOutOfRange,
+    MatMonoidError,
+    NotInMonoid,
+    require_enum_size,
+    require_int,
+    show,
+)
+from matmonoid.tree import cell_word
 
 MODULES = (bsvhash, errors, extremal, matrix, polydom, tree)
 
@@ -143,7 +160,70 @@ class TestRequireEnumSize:
     pytest.param(lambda: pascal_merge_check(1.5, 2), InvalidParams, id="pascal_merge_check"),
     pytest.param(lambda: ONE.shift(1.5), InvalidParams, id="PolyN.shift"),
     pytest.param(lambda: row(IDENTITY, P23, 2, limit=16.0), InvalidParams, id="row-limit"),
+    pytest.param(lambda: BiPolyN({(0.5, 0): 1}), InvalidParams, id="BiPolyN-exponent-float"),
+    pytest.param(lambda: BiPolyN({(0, True): 1}), InvalidParams, id="BiPolyN-exponent-bool"),
+    pytest.param(lambda: BiPolyN.constant(1).shift(1.5, 0), InvalidParams, id="BiPolyN.shift-float"),
+    pytest.param(lambda: BiPolyN.constant(1).shift(True, 0), InvalidParams, id="BiPolyN.shift-bool"),
+    pytest.param(lambda: BiPolyN.constant(1).shift(0, 2.0), InvalidParams, id="BiPolyN.shift-dy"),
 ])
 def test_bool_and_non_integer_parameters_are_rejected(call, error):
     with pytest.raises(error):
         call()
+
+
+HUGE = 10**5000  # 16610 bits: past CPython's 4300-digit int-to-str limit
+
+needs_digit_cap = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit cap in this Python")
+
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: cell_word(3, HUGE), IndexOutOfRange, id="cell_word"),
+    pytest.param(lambda: row(IDENTITY, P23, 2).cell(-HUGE), IndexOutOfRange, id="TreeRow.cell"),
+    pytest.param(lambda: mu_depth(P23, -HUGE), InvalidParams, id="mu_depth"),
+    pytest.param(lambda: lucas(-HUGE, 3), InvalidParams, id="lucas"),
+    pytest.param(lambda: MonoidParams(-HUGE, 1), InvalidParams, id="MonoidParams"),
+    pytest.param(lambda: HashParams(2, 3, HUGE), InvalidParams, id="HashParams"),
+    pytest.param(lambda: row(IDENTITY, P23, 2, limit=-HUGE), LimitExceeded, id="row-limit"),
+    pytest.param(
+        lambda: exhaustive_collision_check(HP235, 3, limit=-HUGE), LimitExceeded,
+        id="collision_check-limit",
+    ),
+    pytest.param(lambda: factor(Mat2(HUGE, 1, 1, 1), P23), NotInMonoid, id="factor"),
+])
+def test_huge_integers_in_messages_keep_the_typed_error(call, error):
+    with pytest.raises(error) as exc:
+        call()
+    assert isinstance(exc.value, MatMonoidError)
+    if hasattr(sys, "set_int_max_str_digits"):
+        assert "-bit integer>" in str(exc.value)
+
+
+class TestShow:
+    @pytest.mark.parametrize("value", [0, -1, 2**64, True, 1.5, "1", None])
+    def test_small_values_print_as_repr(self, value):
+        assert show(value) == repr(value)
+
+    @needs_digit_cap
+    def test_huge_ints_print_as_their_bit_length(self):
+        assert show(HUGE) == "<16610-bit integer>"
+        assert show(-HUGE) == "<negative 16610-bit integer>"
+
+
+def test_verify_runs_without_mpmath():
+    """The package has no runtime dependency: verify passes with mpmath blocked."""
+    src = str(Path(matmonoid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from matmonoid.cli import main\n"
+        "sys.exit(main(['verify']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    expected = (Path(__file__).parent / "data" / "verify_all.txt").read_text()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

@@ -1,5 +1,8 @@
 """Exact depth maxima, Lucas-sequence evaluation, witness words, the
-left-column dynamical system, and 120-bit radical cross-checks."""
+left-column dynamical system, and 37-digit radical cross-checks."""
+import decimal
+from decimal import Decimal
+
 import hypothesis.strategies as st
 import mpmath
 import pytest
@@ -23,7 +26,7 @@ from matmonoid import (
 )
 
 P23 = MonoidParams(2, 3)
-REL_TOL = mpmath.mpf("1e-9")
+REL_TOL = Decimal("1e-9")
 
 small_params = st.builds(MonoidParams, st.integers(1, 5), st.integers(1, 5))
 
@@ -41,6 +44,41 @@ def alpha_gamma_by_steps(params, a, c, n):
     for _ in range(n):
         a, c = a + v * c, u * a + (1 + u * v) * c
     return a, c
+
+
+def radical_forms_by_mpmath(u, v, n, starts):
+    """The depth-(2n+1) and depth-(2n+2) radical forms and, per start column,
+    (alpha_n, gamma_n), all at 120 bits in mpmath: the reference for the
+    library's decimal evaluation.
+
+    The depth forms are the paper's q+- formulas with the powers of 2 divided
+    out last; the orbit comes from the eigenvectors (v, lambda - 1) of
+    [[1, v], [u, 1+uv]], a different route from the library's c1, c2.
+    """
+    s, t = min(u, v), max(u, v)
+    with mpmath.workprec(120):
+        root = mpmath.sqrt(s * t * (4 + s * t))
+        root_t, edge = mpmath.sqrt(t), mpmath.sqrt(s * (4 + s * t))
+        q_plus, q_minus = 2 + s * t + root, 2 + s * t - root
+        p_plus, p_minus = s * root_t + edge, -s * root_t + edge
+        up, down = q_plus ** (n + 1), q_minus ** (n + 1)
+        odd = root_t * (up - down) / (2 ** (n + 1) * edge)
+        if s > 1:
+            even = (p_plus * up + p_minus * down) / (2 ** (n + 2) * edge)
+        else:
+            even = root_t * (
+                (root_t * p_minus + 2) * up + (root_t * p_plus - 2) * down
+            ) / (2 ** (n + 2) * mpmath.sqrt(4 + s * t))
+        lam1 = (2 + u * v + mpmath.sqrt(u * v * (4 + u * v))) / 2
+        lam2 = 1 / lam1
+        orbits = []
+        for a, c in starts:
+            k1 = (c - mpmath.mpf(a) / v * (lam2 - 1)) / (lam1 - lam2)
+            k2 = mpmath.mpf(a) / v - k1
+            alpha = v * (k1 * lam1**n + k2 * lam2**n)
+            gamma = k1 * (lam1 - 1) * lam1**n + k2 * (lam2 - 1) * lam2**n
+            orbits.append((alpha, gamma))
+        return odd, even, orbits
 
 
 def fseq_by_steps(params, n):
@@ -160,8 +198,8 @@ class TestClosedFormParams:
     @pytest.mark.parametrize("v", [1, 2, 3])
     def test_eigen_identities(self, u, v):
         cf = closed_form_params(MonoidParams(u, v), 1, u)
-        assert abs(cf.q_plus * cf.q_minus - 4) < mpmath.mpf("1e-25")
-        assert abs(cf.lambda1 * cf.lambda2 - 1) < mpmath.mpf("1e-25")
+        assert abs(cf.q_plus * cf.q_minus - 4) < Decimal("1e-25")
+        assert abs(cf.lambda1 * cf.lambda2 - 1) < Decimal("1e-25")
 
     @pytest.mark.parametrize("u", [1, 2, 3])
     @pytest.mark.parametrize("v", [1, 2, 3])
@@ -194,6 +232,40 @@ class TestClosedFormFloat:
                              mu_depth(params, 2 * n + 1))
             assert rel_close(closed_form_float(params, n, "even"),
                              mu_depth(params, 2 * n + 2))
+
+    @pytest.mark.parametrize("u", range(1, 7))
+    @pytest.mark.parametrize("v", range(1, 7))
+    def test_decimal_matches_120_bit_mpmath(self, u, v):
+        params = MonoidParams(u, v)
+        starts = ((1, u), (2, 5))
+        cfs = [closed_form_params(params, *start) for start in starts]
+        with mpmath.workprec(120):
+            for n in range(60):
+                odd, even, orbits = radical_forms_by_mpmath(u, v, n, starts)
+                pairs = [(closed_form_float(params, n, "odd"), odd),
+                         (closed_form_float(params, n, "even"), even)]
+                for cf, (alpha, gamma) in zip(cfs, orbits):
+                    pairs += [(cf.alpha_float(n), alpha), (cf.gamma_float(n), gamma)]
+                for got, ref in pairs:
+                    assert isinstance(got, Decimal)
+                    assert abs(mpmath.mpf(str(got)) - ref) / ref < mpmath.mpf("1e-30"), (n, got)
+
+    def test_caller_context_is_untouched(self):
+        cf = closed_form_params(P23, 2, 5)
+
+        def values():
+            return [closed_form_float(P23, 20, "odd"), closed_form_float(P23, 20, "even"),
+                    cf.alpha_float(20), cf.gamma_float(20)]
+
+        expected = values()
+        with decimal.localcontext():
+            decimal.getcontext().prec = 5
+            decimal.getcontext().clear_flags()
+            got = values()
+            assert decimal.getcontext().prec == 5
+            assert not any(decimal.getcontext().flags.values())
+        assert [str(x) for x in got] == [str(x) for x in expected]
+        assert all(len(x.as_tuple().digits) == 37 for x in got)
 
     def test_domain_validation(self):
         with pytest.raises(InvalidParams):

@@ -1,5 +1,6 @@
 """Shear-product hashing into SL2(F_p): primality gate, streaming state,
 digest serialization, and the exhaustive collision search."""
+import random
 import re
 
 import hypothesis.strategies as st
@@ -103,6 +104,35 @@ class TestIsProbablePrime:
     def test_matches_trial_division(self, n):
         by_trial = n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
         assert is_probable_prime(n) == by_trial
+
+    def test_strong_pseudoprime_to_bases_two_to_thirty_seven(self):
+        # 399165290221 * 798330580441 passes Miller-Rabin for every prime
+        # base up to 37, so the deterministic range needs base 41 as well.
+        assert not is_probable_prime(318665857834031151167461)
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        limit = 3317044064679887385961981  # end of the deterministic range
+        rng = random.Random(20261018)
+        sample = [rng.randrange(2, 10**6) for _ in range(300)]
+        for low, high, count in ((limit // 10**6, limit, 300), (limit, limit * 10**6, 100),
+                                 (2**127, 2**256, 10)):
+            for _ in range(count):
+                n = rng.randrange(low, high) | 1
+                sample += [n, sympy.nextprime(n)]
+        # Carmichael numbers, the last three (6k+1)(12k+1)(18k+1) past the limit.
+        sample += [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+                   3332857419635169667705129, 3333247875082425640439089,
+                   3333265391555464970126161]
+        # Strong base-2 pseudoprimes, up to the smallest one for bases 2..41.
+        sample += [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633,
+                   3825123056546413051, 318665857834031151167461, limit]
+        # Semiprimes of two 64-bit primes.
+        for _ in range(50):
+            a, b = (sympy.nextprime(rng.getrandbits(64) | 1 << 63) for _ in range(2))
+            sample += [a * b, a * a]
+        wrong = [n for n in sample if is_probable_prime(n) != sympy.isprime(n)]
+        assert wrong == []
 
 
 class TestHashParams:
