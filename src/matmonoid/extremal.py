@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 
-from .errors import InvalidParams, WitnessMismatch, require_int
+from .errors import InvalidParams, WitnessMismatch, require_int, show
 from .matrix import Mat2, MonoidParams, mu, word_to_matrix
 
 __all__ = [
@@ -36,6 +36,28 @@ __all__ = [
 # the widest exponent range so deep powers do not overflow. The caller's
 # decimal context is never touched.
 _CONTEXT = Context(prec=37, Emax=MAX_EMAX)
+# A closed form's power lambda1^e may reach 10^_MAX_EXPONENT, half the
+# context's exponent range; the other half is headroom for the coefficients
+# of the start column, which no integer that fits in memory comes near.
+_MAX_EXPONENT = MAX_EMAX // 2
+
+
+def _require_power(lambda1: Decimal, n: int, extra: int) -> None:
+    """Raise InvalidParams unless lambda1^(|n| + extra) stays below 10^_MAX_EXPONENT.
+
+    The message names the largest supported |n|, floor(_MAX_EXPONENT /
+    log10 lambda1) - extra.
+    """
+    # lambda1 < 10^(adjusted + 1), so small n pass without taking a logarithm.
+    if (abs(n) + extra) * (lambda1.adjusted() + 1) <= _MAX_EXPONENT:
+        return
+    with localcontext(_CONTEXT):
+        largest = int(_MAX_EXPONENT / lambda1.log10()) - extra
+    if abs(n) > largest:
+        raise InvalidParams(
+            f"n must be at most {largest} in absolute value for these parameters, "
+            f"got {show(n)}: past that the closed form leaves the decimal exponent range"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +155,8 @@ class ClosedFormParams:
     u: int
 
     def alpha_float(self, n: int) -> Decimal:
+        """alpha_n; |n| is bounded as in gamma_float."""
+        _require_power(self.lambda1, n, 0)
         with localcontext(_CONTEXT):
             return (
                 self.c1 * self.lambda1**n * self.p_minus
@@ -140,6 +164,10 @@ class ClosedFormParams:
             ) / (2 * Decimal(self.u).sqrt())
 
     def gamma_float(self, n: int) -> Decimal:
+        """gamma_n, for |n| up to floor(MAX_EMAX / 2 / log10 lambda1) (about
+        1.2e18 at u = v = 1 and 4.8e17 at u = v = 3); a larger |n| raises
+        InvalidParams naming that bound."""
+        _require_power(self.lambda1, n, 0)
         with localcontext(_CONTEXT):
             return self.c1 * self.lambda1**n + self.c2 * self.lambda2**n
 
@@ -189,6 +217,10 @@ def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> Decima
     The powers are taken as lambda+-^{n+1} = (q+-/2)^{n+1}, and at s = 1
     sqrt(4+uv) is sqrt(s(4+uv)). Float cross-check only; mu_depth is the
     exact source of truth.
+
+    n may be at most floor(MAX_EMAX / 2 / log10 lambda+) - 1 (about 1.2e18
+    at u = v = 1 and 4.8e17 at u = v = 3); a larger n raises InvalidParams
+    naming that bound.
     """
     require_int("n", n, 0)
     if depth_parity not in ("odd", "even"):
@@ -196,6 +228,7 @@ def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> Decima
     s, t = params.s, params.t
     # Oriented as (u, v) = (t, s), the eigen data holds exactly these q+- and p+-.
     cf = closed_form_params(MonoidParams(t, s), 1, t)
+    _require_power(cf.lambda1, n, 1)
     with localcontext(_CONTEXT):
         root_t = Decimal(t).sqrt()
         edge = Decimal(s * (4 + s * t)).sqrt()

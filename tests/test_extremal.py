@@ -16,6 +16,7 @@ from matmonoid import (
     closed_form_float,
     closed_form_params,
     collision_horizon,
+    extremal,
     fseq,
     lucas,
     mu,
@@ -273,6 +274,28 @@ class TestClosedFormFloat:
         with pytest.raises(InvalidParams):
             closed_form_float(P23, 1, "both")
 
+    def test_past_the_decimal_range_is_a_typed_error(self):
+        # lambda1^n may reach 10^(MAX_EMAX // 2); at u = v = 3 that is
+        # n = floor(MAX_EMAX // 2 / log10 lambda1), one less where the
+        # power is n + 1. Past it the call names the bound instead of
+        # leaking decimal.Overflow.
+        params = MonoidParams(3, 3)
+        cf = closed_form_params(params, 1, 3)
+        largest = 481807830136923196
+        cases = [
+            (cf.alpha_float, largest),
+            (cf.gamma_float, largest),
+            (lambda n: closed_form_float(params, n, "odd"), largest - 1),
+            (lambda n: closed_form_float(params, n, "even"), largest - 1),
+        ]
+        for evaluate, bound in cases:
+            for n in (10**18, bound + 1):
+                with pytest.raises(InvalidParams, match=f"at most {bound} in absolute value"):
+                    evaluate(n)
+            assert evaluate(bound).is_finite()
+        with pytest.raises(InvalidParams, match=f"at most {largest} "):
+            cf.gamma_float(-(10**18))
+
 
 class TestMuDepth:
     def test_known_values(self):
@@ -412,3 +435,10 @@ class TestWitnessMismatchType:
         # be raisable and distinct from the other domain errors.
         assert issubclass(WitnessMismatch, Exception)
         assert not issubclass(WitnessMismatch, InvalidParams)
+
+    def test_the_self_check_is_live(self, monkeypatch):
+        # witness compares its matrix with mu_depth; a wrong maximum must raise.
+        true_maximum = extremal.mu_depth
+        monkeypatch.setattr(extremal, "mu_depth", lambda params, n: true_maximum(params, n) + 1)
+        with pytest.raises(WitnessMismatch):
+            witness(P23, 301)

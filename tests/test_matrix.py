@@ -1,4 +1,8 @@
 """Generator arithmetic, word products, and unique factorization."""
+import random
+import time
+from unittest import mock
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -11,16 +15,99 @@ from matmonoid import (
     NotInMonoid,
     factor,
     lmat,
+    matrix,
     mu,
     mul,
     rmat,
+    witness,
     word_to_matrix,
 )
+from matmonoid.errors import show
 
 P23 = MonoidParams(2, 3)
 
 words = st.text(alphabet="LR", max_size=24)
 small_params = st.builds(MonoidParams, st.integers(1, 5), st.integers(1, 5))
+params_1_to_4 = st.builds(MonoidParams, st.integers(1, 4), st.integers(1, 4))
+
+
+def seeded_word(n, seed, mean_run):
+    """n letters that switch with probability 1/mean_run, from a seeded generator."""
+    rng = random.Random(seed)
+    letters, ch = [], rng.choice("LR")
+    for _ in range(n):
+        if rng.random() * mean_run < 1:
+            ch = "L" if ch == "R" else "R"
+        letters.append(ch)
+    return "".join(letters)
+
+
+# Up to 2,000 letters, alternating, random, or in runs of about 8 or 50.
+long_words = st.builds(
+    seeded_word, st.integers(0, 2000), st.integers(0, 2**32), st.sampled_from([1, 2, 8, 50])
+)
+
+
+def word_to_matrix_by_letters(word, params):
+    """The letter-by-letter product: the reference for word_to_matrix."""
+    u, v = params.u, params.v
+    a, b, c, d = 1, 0, 0, 1
+    for ch in word:
+        if ch == "L":
+            a += u * b
+            c += u * d
+        else:
+            b += v * a
+            d += v * c
+    return Mat2(a, b, c, d)
+
+
+def factor_by_letters(m, params):
+    """The letter-by-letter peel: the reference for factor, errors included."""
+    u, v = params.u, params.v
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if a * d - b * c != 1:
+        raise NotInMonoid(f"determinant is {show(a * d - b * c)}, not 1")
+    letters = []
+    while (a, b, c, d) != (1, 0, 0, 1):
+        lower = c >= u * a and d >= u * b
+        upper = a >= v * c and b >= v * d
+        if lower and upper:
+            raise NotInMonoid("matrix is both lower- and upper-dominant; not in the free monoid")
+        if lower:
+            letters.append("L")
+            c -= u * a
+            d -= u * b
+        elif upper:
+            letters.append("R")
+            a -= v * c
+            b -= v * d
+        else:
+            raise NotInMonoid("no generator divides the matrix; not in the monoid")
+    return "".join(letters)
+
+
+def outcome(fn, m, params):
+    """fn's word for m, or the type and message of what it raised."""
+    try:
+        return fn(m, params)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def times(m, n):
+    return Mat2(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+
+
+def power(m, k):
+    """m^k by repeated squaring: a product oracle that shares no code with word_to_matrix."""
+    result = IDENTITY
+    while k:
+        if k & 1:
+            result = times(result, m)
+        m, k = times(m, m), k >> 1
+    return result
 
 
 def all_words_with_matrices(params, max_depth):
@@ -184,3 +271,137 @@ class TestFactor:
         params = MonoidParams(u, v)
         for w, m in all_words_with_matrices(params, 14):
             assert factor(m, params) == w
+
+
+class TestAgainstLetterOracles:
+    """The product tree and the certified half-GCD peel against the
+    letter-by-letter loops they replaced."""
+
+    @given(long_words, params_1_to_4)
+    def test_random_words_up_to_2000_letters(self, w, params):
+        m = word_to_matrix(w, params)
+        assert m == word_to_matrix_by_letters(w, params)
+        assert factor(m, params) == factor_by_letters(m, params) == w
+
+    @given(long_words, params_1_to_4, st.sampled_from([1, 2, 5]), st.sampled_from([8, 24, 100]))
+    def test_small_leaves_run_every_path_on_short_words(self, w, params, letters, bits):
+        # Tiny leaves send short words through the product tree's splits and
+        # through factor's guesses, certification and give-backs.
+        with mock.patch.object(matrix, "_LEAF_LETTERS", letters), \
+                mock.patch.object(matrix, "_LEAF_BITS", bits):
+            m = word_to_matrix(w, params)
+            assert m == word_to_matrix_by_letters(w, params)
+            assert factor(m, params) == w
+            near = (mul(m, Mat2(2, 1, 1, 1)), mul(Mat2(1, 1, 1, 2), m),
+                    Mat2(m.a, m.b + m.a, m.c, m.d + m.c))
+            for x in near:
+                assert outcome(factor, x, params) == outcome(factor_by_letters, x, params)
+
+    @given(long_words, long_words, params_1_to_4)
+    def test_concatenation_is_multiplication(self, w1, w2, params):
+        left, right = word_to_matrix_by_letters(w1, params), word_to_matrix_by_letters(w2, params)
+        assert word_to_matrix(w1 + w2, params) == mul(left, right)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("uv", [(1, 1), (2, 3), (4, 1)])
+    def test_leaf_boundaries(self, n, uv):
+        params = MonoidParams(*uv)
+        for w in ("LR" * n)[:n], "L" * n, "R" + "L" * (n - 1), format(3**n, "b")[:n].translate(
+            str.maketrans("01", "LR")
+        ):
+            m = word_to_matrix(w, params)
+            assert m == word_to_matrix_by_letters(w, params)
+            assert factor(m, params) == w
+
+    @pytest.mark.parametrize("uv", [(1, 1), (4, 4)])
+    def test_entry_sizes_across_the_peel_leaf(self, uv):
+        # Alternating and random words whose entries grow through the bit
+        # size below which factor peels run by run.
+        params = MonoidParams(*uv)
+        for n in range(40, 220, 3):
+            for w in ("LR" * n)[:n], format(5**n, "b")[:n].translate(str.maketrans("01", "LR")):
+                assert factor(word_to_matrix(w, params), params) == w
+
+    @pytest.mark.parametrize(
+        "u, v, n, head, unit, tail",
+        [
+            (3, 2, 100001, "", "LR", "L"),
+            (2, 3, 100001, "", "RL", "R"),
+            (2, 3, 100000, "", "RL", ""),
+            (3, 1, 100000, "L", "LR", "L"),
+            (1, 3, 100000, "R", "RL", "R"),
+        ],
+    )
+    def test_deep_witness_words(self, u, v, n, head, unit, tail):
+        # Every witness shape at depth 10^5. The letter-by-letter oracles
+        # are quadratic there, so the product is pinned by repeated
+        # squaring and the factorization by the word itself.
+        params = MonoidParams(u, v)
+        k = (n - len(head) - len(tail)) // len(unit)
+        w = witness(params, n)
+        assert w.word == head + unit * k + tail
+        letters = word_to_matrix_by_letters
+        expected = times(times(letters(head, params), power(letters(unit, params), k)),
+                         letters(tail, params))
+        assert w.matrix == expected == word_to_matrix(w.word, params)
+        assert factor(expected, params) == w.word
+
+    @pytest.mark.parametrize("uv", [(1, 1), (2, 3), (4, 1), (3, 4)])
+    def test_witness_shapes_against_the_letter_oracles(self, uv):
+        params = MonoidParams(*uv)
+        for n in (9999, 10000):
+            word = witness(params, n).word
+            m = word_to_matrix(word, params)
+            assert m == word_to_matrix_by_letters(word, params)
+            assert factor(m, params) == factor_by_letters(m, params) == word
+
+    @pytest.mark.parametrize("uv", [(1, 1), (2, 3), (4, 1), (1, 4), (3, 3)])
+    def test_non_members_fail_as_the_oracle_does(self, uv):
+        params = MonoidParams(*uv)
+        u, v = uv
+        others = [MonoidParams(u + 1, v), MonoidParams(u, v + 1), MonoidParams(v, u)]
+        for n in (1, 50, 700, 6000):
+            w = (format(7**n, "b") * 2)[:n].translate(str.maketrans("01", "LR"))
+            m = word_to_matrix(w, params)
+            # The product of a word under (u, v), read under other parameters.
+            cases = [(m, q) for q in others]
+            # Entries perturbed with the determinant kept at 1, and one not.
+            for t in (1, 2, 3):
+                cases += [
+                    (mul(m, Mat2(1, t, 0, 1)), params),
+                    (mul(Mat2(1, 0, t, 1), m), params),
+                    (mul(m, Mat2(1 + t, 1, t, 1)), params),
+                    (mul(Mat2(1, t, 1, 1 + t), m), params),
+                ]
+            cases.append((Mat2(m.a + 1, m.b, m.c, m.d), params))
+            for x, q in cases:
+                assert outcome(factor, x, q) == outcome(factor_by_letters, x, q)
+
+    def test_a_member_times_a_non_member_fails_at_the_end(self):
+        # A det-1, nonnegative non-member of the (2, 3) monoid put after a
+        # deep element: the peel takes every letter of the element, then fails.
+        params = MonoidParams(2, 3)
+        stuck = Mat2(2, 1, 1, 1)
+        for n in (200, 5000):
+            m = mul(word_to_matrix("LRR" * n, params), stuck)
+            expected = outcome(factor_by_letters, m, params)
+            assert expected == (NotInMonoid, "no generator divides the matrix; not in the monoid")
+            assert outcome(factor, m, params) == expected
+
+
+class TestRunPeeling:
+    def test_a_single_long_run_is_peeled_at_once(self):
+        params = MonoidParams(1, 1)
+        start = time.perf_counter()
+        assert factor(Mat2(1, 10**7, 0, 1), params) == "R" * 10**7
+        assert factor(Mat2(1, 0, 10**7, 1), params) == "L" * 10**7
+        # One division per run, not one loop step per letter (several seconds).
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("uv", [(1, 1), (2, 3), (4, 1), (1, 4), (3, 5)])
+    def test_mixed_runs(self, uv):
+        params = MonoidParams(*uv)
+        w = "R" * 5000 + "LR" * 3000 + "L" * 7000
+        m = word_to_matrix(w, params)
+        assert m == word_to_matrix_by_letters(w, params)
+        assert factor(m, params) == w
