@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from matmonoid import MonoidParams, mu_depth, witness
+from matmonoid import MonoidParams, mu_depth, suites, tree, witness
 from matmonoid.cli import main
 
 # Python 3.10.7+ refuses int <-> decimal conversions past this many digits.
@@ -224,6 +224,44 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify"])
         assert code == 0
         assert out == expected
+
+    @pytest.mark.parametrize("depth", [0, 6])
+    def test_report_at_other_depths_is_pinned(self, capsys, depth):
+        # Scope texts follow --max-depth, so the default depth alone does not pin them.
+        expected = (Path(__file__).parent / "data" / f"verify_depth{depth}.txt").read_text()
+        code, out, _ = run(capsys, ["verify", "--max-depth", str(depth)])
+        assert code == 0
+        assert out == expected
+
+    def test_suite_order(self):
+        assert suites.SUITE_NAMES == ("formulas", "symmetry", "polydom", "hash")
+        each = [r.line() for name in suites.SUITE_NAMES for r in suites.run_suite(name, 2)]
+        assert [r.line() for r in suites.run_suite("all", 2)] == each
+
+    def test_failure_report(self, capsys, monkeypatch):
+        true_maximum = tree.mu_row_bruteforce
+        monkeypatch.setattr(
+            tree, "mu_row_bruteforce", lambda params, n, limit=None: true_maximum(params, n) + 1
+        )
+        code, out, _ = run(capsys, ["verify", "--suite", "formulas", "--max-depth", "3"])
+        assert code == 1
+        assert out == (
+            "FAIL max-entry-oracle ((u,v) in [1..4]^2, depth <= 3)\n"
+            "    u=1 v=1 n=0: lucas 1 != brute 2\n"
+            "    u=1 v=1 n=1: lucas 1 != brute 2\n"
+            "    u=1 v=1 n=2: lucas 2 != brute 3\n"
+            "    u=1 v=1 n=3: lucas 3 != brute 4\n"
+            "    u=1 v=2 n=0: lucas 1 != brute 2\n"
+            "    ... and 59 more\n"
+            "PASS radical-closed-form ((u,v) in [1..3]^2, n <= 3, both parities, rel tol 1e-9)\n"
+            "PASS max-entry-uv-symmetric ((u,v) in [1..4]^2, depth <= 8)\n"
+            "PASS max-entry-monotone ((u,v) in [1..4]^2, strict from depth 1 to 8)\n"
+            "PASS witness-attainment ((u,v) in [1..4]^2, depth 1..6)\n"
+            "PASS alternating-column ((u,v) in [1..3]^2, n <= 3, start column (1,u), rel tol 1e-9)\n"
+            "PASS fibonacci-like-link ((u,v) in [1..4]^2 with min>1 or u=v=1, offset 1, depth <= 8)\n"
+            "PASS lucas-pairs (P in [3..11], m <= 8, doubling vs recurrence)\n"
+            "7/8 checks passed\n"
+        )
 
     def test_polydom_suite_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "polydom"])
