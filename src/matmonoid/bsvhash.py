@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import InvalidParams, require_enum_size, require_int, show
 from .extremal import collision_horizon
-from .matrix import MonoidParams
+from .matrix import Mat2, MonoidParams
 
 __all__ = [
     "DEFAULT_COLLISION_LIMIT",
@@ -126,8 +126,7 @@ class Digest:
     c: int
     d: int
 
-    def to_json(self) -> list[list[str]]:
-        return [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]
+    to_json = Mat2.to_json
 
 
 class HashState:

@@ -46,8 +46,10 @@ def _require_power(lambda1: Decimal, n: int, extra: int) -> None:
     """Raise InvalidParams unless lambda1^(|n| + extra) stays below 10^_MAX_EXPONENT.
 
     The message names the largest supported |n|, floor(_MAX_EXPONENT /
-    log10 lambda1) - extra.
+    log10 lambda1) - extra. Negative n is valid; a bool is not an integer here.
     """
+    if type(n) is not int:
+        raise InvalidParams(f"n must be an integer, got {show(n)}")
     # lambda1 < 10^(adjusted + 1), so small n pass without taking a logarithm.
     if (abs(n) + extra) * (lambda1.adjusted() + 1) <= _MAX_EXPONENT:
         return

@@ -8,7 +8,9 @@ so runs are reproducible.
 """
 from __future__ import annotations
 
+import functools
 import random
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -17,15 +19,7 @@ from .errors import WitnessMismatch
 from .matrix import IDENTITY, MonoidParams, mu, word_to_matrix
 from .polydom import ONE, X, ZERO, PolyN, dominates
 
-__all__ = [
-    "CheckResult",
-    "SUITE_NAMES",
-    "run_suite",
-    "suite_formulas",
-    "suite_hash",
-    "suite_polydom",
-    "suite_symmetry",
-]
+__all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
 # Parameter grids shared by the suites (documented in the CLI help).
 WIDE_GRID = [(u, v) for u in range(1, 5) for v in range(1, 5)]
@@ -56,29 +50,48 @@ class CheckResult:
         return out
 
 
-def _result(name: str, scope: str, failures: list[str]) -> CheckResult:
-    return CheckResult(name, scope, not failures, failures)
+# A check body yields one text per failure and returns its scope.
+_Failures = Generator[str, None, str]
+
+
+def _check(name: str) -> Callable[[Callable[..., _Failures]], Callable[..., CheckResult]]:
+    """Turn a check body into a function that runs it and returns its CheckResult."""
+
+    def wrap(body: Callable[..., _Failures]) -> Callable[..., CheckResult]:
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            failures = []
+            run = body(*args, **kwargs)
+            try:
+                while True:
+                    failures.append(next(run))
+            except StopIteration as done:
+                return CheckResult(name, done.value, not failures, failures)
+
+        return check
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
 # formulas: exact max-entry values against enumeration and radical forms
 
 
-def check_max_entry_oracle(max_depth: int) -> CheckResult:
+@_check("max-entry-oracle")
+def check_max_entry_oracle(max_depth: int) -> _Failures:
     depth = min(max_depth, 16)
-    failures = []
     for u, v in WIDE_GRID:
         params = MonoidParams(u, v)
         for n in range(depth + 1):
             fast = extremal.mu_depth(params, n)
             slow = tree.mu_row_bruteforce(params, n)
             if fast != slow:
-                failures.append(f"u={u} v={v} n={n}: lucas {fast} != brute {slow}")
-    return _result("max-entry-oracle", f"(u,v) in [1..4]^2, depth <= {depth}", failures)
+                yield f"u={u} v={v} n={n}: lucas {fast} != brute {slow}"
+    return f"(u,v) in [1..4]^2, depth <= {depth}"
 
 
-def check_radical_closed_form(max_depth: int) -> CheckResult:
-    failures = []
+@_check("radical-closed-form")
+def check_radical_closed_form(max_depth: int) -> _Failures:
     for u, v in NARROW_GRID:
         params = MonoidParams(u, v)
         for n in range(max_depth + 1):
@@ -86,62 +99,54 @@ def check_radical_closed_form(max_depth: int) -> CheckResult:
                 exact = extremal.mu_depth(params, depth)
                 approx = extremal.closed_form_float(params, n, parity)
                 if abs(approx - exact) / exact >= 1e-9:
-                    failures.append(
-                        f"u={u} v={v} depth={depth}: {approx} vs exact {exact}"
-                    )
-    return _result(
-        "radical-closed-form",
-        f"(u,v) in [1..3]^2, n <= {max_depth}, both parities, rel tol 1e-9",
-        failures,
-    )
+                    yield f"u={u} v={v} depth={depth}: {approx} vs exact {exact}"
+    return f"(u,v) in [1..3]^2, n <= {max_depth}, both parities, rel tol 1e-9"
 
 
-def check_uv_symmetry(max_depth: int) -> CheckResult:
+@_check("max-entry-uv-symmetric")
+def check_uv_symmetry(max_depth: int) -> _Failures:
     top = 2 * max_depth + 2
-    failures = []
     for u, v in WIDE_GRID:
         a, b = MonoidParams(u, v), MonoidParams(v, u)
         for n in range(top + 1):
             if extremal.mu_depth(a, n) != extremal.mu_depth(b, n):
-                failures.append(f"u={u} v={v} n={n}")
-    return _result("max-entry-uv-symmetric", f"(u,v) in [1..4]^2, depth <= {top}", failures)
+                yield f"u={u} v={v} n={n}"
+    return f"(u,v) in [1..4]^2, depth <= {top}"
 
 
-def check_monotonicity(max_depth: int) -> CheckResult:
+@_check("max-entry-monotone")
+def check_monotonicity(max_depth: int) -> _Failures:
     top = 2 * max_depth + 2
-    failures = []
     for u, v in WIDE_GRID:
         params = MonoidParams(u, v)
         values = [extremal.mu_depth(params, n) for n in range(top + 1)]
         for n in range(1, top):
             if not values[n] < values[n + 1]:
-                failures.append(f"u={u} v={v}: mu({n})={values[n]} !< mu({n + 1})={values[n + 1]}")
+                yield f"u={u} v={v}: mu({n})={values[n]} !< mu({n + 1})={values[n + 1]}"
         if values[0] > values[1]:
-            failures.append(f"u={u} v={v}: mu(0) > mu(1)")
-    return _result(
-        "max-entry-monotone", f"(u,v) in [1..4]^2, strict from depth 1 to {top}", failures
-    )
+            yield f"u={u} v={v}: mu(0) > mu(1)"
+    return f"(u,v) in [1..4]^2, strict from depth 1 to {top}"
 
 
-def check_witness_attainment(max_depth: int) -> CheckResult:
+@_check("witness-attainment")
+def check_witness_attainment(max_depth: int) -> _Failures:
     top = 2 * max_depth
-    failures = []
     for u, v in WIDE_GRID:
         params = MonoidParams(u, v)
         for n in range(1, top + 1):
             try:
                 w = extremal.witness(params, n)
             except WitnessMismatch as e:
-                failures.append(str(e))
+                yield str(e)
                 continue
             r, c = w.position
             if w.matrix.rows()[r - 1][c - 1] != w.value:
-                failures.append(f"u={u} v={v} n={n}: position/value disagree")
-    return _result("witness-attainment", f"(u,v) in [1..4]^2, depth 1..{top}", failures)
+                yield f"u={u} v={v} n={n}: position/value disagree"
+    return f"(u,v) in [1..4]^2, depth 1..{top}"
 
 
-def check_alternating_column(max_depth: int) -> CheckResult:
-    failures = []
+@_check("alternating-column")
+def check_alternating_column(max_depth: int) -> _Failures:
     for u, v in NARROW_GRID:
         params = MonoidParams(u, v)
         cf = extremal.closed_form_params(params, 1, u)
@@ -149,23 +154,19 @@ def check_alternating_column(max_depth: int) -> CheckResult:
             pair = extremal.alpha_gamma(params, 1, u, n)
             m = word_to_matrix("LR" * n + "L", params)
             if (pair.alpha, pair.gamma) != (m.a, m.c):
-                failures.append(
+                yield (
                     f"u={u} v={v} n={n}: alpha_gamma ({pair.alpha},{pair.gamma}) "
                     f"!= product column ({m.a},{m.c})"
                 )
             for exact, approx in ((pair.alpha, cf.alpha_float(n)), (pair.gamma, cf.gamma_float(n))):
                 if abs(approx - exact) / exact >= 1e-9:
-                    failures.append(f"u={u} v={v} n={n}: float {approx} vs {exact}")
-    return _result(
-        "alternating-column",
-        f"(u,v) in [1..3]^2, n <= {max_depth}, start column (1,u), rel tol 1e-9",
-        failures,
-    )
+                    yield f"u={u} v={v} n={n}: float {approx} vs {exact}"
+    return f"(u,v) in [1..3]^2, n <= {max_depth}, start column (1,u), rel tol 1e-9"
 
 
-def check_fibonacci_like_link(max_depth: int) -> CheckResult:
+@_check("fibonacci-like-link")
+def check_fibonacci_like_link(max_depth: int) -> _Failures:
     top = 2 * max_depth + 2
-    failures = []
     for u, v in WIDE_GRID:
         s, t = min(u, v), max(u, v)
         if s == 1 and t > 1:
@@ -174,73 +175,50 @@ def check_fibonacci_like_link(max_depth: int) -> CheckResult:
         oriented = MonoidParams(s, t)
         for n in range(top + 1):
             if extremal.fseq(oriented, n + 1) != extremal.mu_depth(params, n):
-                failures.append(f"u={u} v={v} n={n}")
-    return _result(
-        "fibonacci-like-link",
-        f"(u,v) in [1..4]^2 with min>1 or u=v=1, offset 1, depth <= {top}",
-        failures,
-    )
+                yield f"u={u} v={v} n={n}"
+    return f"(u,v) in [1..4]^2 with min>1 or u=v=1, offset 1, depth <= {top}"
 
 
-def check_lucas_pairs(max_depth: int) -> CheckResult:
+@_check("lucas-pairs")
+def check_lucas_pairs(max_depth: int) -> _Failures:
     top = 2 * max_depth + 2
-    failures = []
     for P in range(3, 12):
         U2, U1 = 0, 1  # U_0, U_1 by the plain recurrence
         V2, V1 = 2, P
         for m in range(top + 1):
             pair = extremal.lucas(P, m)
             if pair.V**2 - (P * P - 4) * pair.U**2 != 4:
-                failures.append(f"P={P} m={m}: pair identity broken")
+                yield f"P={P} m={m}: pair identity broken"
             if (pair.U, pair.V) != (U2, V2):
-                failures.append(f"P={P} m={m}: doubling {pair.U},{pair.V} != recurrence {U2},{V2}")
+                yield f"P={P} m={m}: doubling {pair.U},{pair.V} != recurrence {U2},{V2}"
             U2, U1 = U1, P * U1 - U2
             V2, V1 = V1, P * V1 - V2
-    return _result("lucas-pairs", f"P in [3..11], m <= {top}, doubling vs recurrence", failures)
-
-
-def suite_formulas(max_depth: int) -> list[CheckResult]:
-    return [
-        check_max_entry_oracle(max_depth),
-        check_radical_closed_form(max_depth),
-        check_uv_symmetry(max_depth),
-        check_monotonicity(max_depth),
-        check_witness_attainment(max_depth),
-        check_alternating_column(max_depth),
-        check_fibonacci_like_link(max_depth),
-        check_lucas_pairs(max_depth),
-    ]
+    return f"P in [3..11], m <= {top}, doubling vs recurrence"
 
 
 # ---------------------------------------------------------------------------
 # symmetry: tree mirror identities, classification, entry structure
 
 
-def _row_mats(params: MonoidParams, n: int) -> list:
-    return list(tree.row(IDENTITY, params, n))
-
-
-def check_mirror_symmetry(max_depth: int) -> CheckResult:
+@_check("mirror-symmetry")
+def check_mirror_symmetry(max_depth: int) -> _Failures:
     depth = min(max_depth, 12)
-    failures = []
     for u, v in NARROW_GRID:
         params, swapped = MonoidParams(u, v), MonoidParams(v, u)
         for n in range(depth + 1):
-            cells = _row_mats(params, n)
-            mirror = _row_mats(swapped, n)
+            cells = tree.row(IDENTITY, params, n).cells
+            mirror = tree.row(IDENTITY, swapped, n).cells
             size = 1 << n
             for i in range(size):
                 if cells[i] != tree.antitranspose(mirror[size - 1 - i]):
-                    failures.append(f"u={u} v={v} n={n} i={i + 1}")
+                    yield f"u={u} v={v} n={n} i={i + 1}"
                     break
-    return _result(
-        "mirror-symmetry", f"(u,v) in [1..3]^2, depth <= {depth}, all cells", failures
-    )
+    return f"(u,v) in [1..3]^2, depth <= {depth}, all cells"
 
 
-def check_entry_poly_flip(max_depth: int) -> CheckResult:
+@_check("entry-poly-flip")
+def check_entry_poly_flip(max_depth: int) -> _Failures:
     depth = min(max_depth, 8)
-    failures = []
     for n in range(depth + 1):
         size = 1 << n
         polys = [tree.entry_polys(tree.cell_word(n, i)) for i in range(1, size + 1)]
@@ -251,33 +229,29 @@ def check_entry_poly_flip(max_depth: int) -> CheckResult:
                 (f2.swap_vars(), f1.swap_vars()),
             )
             if flipped != polys[i]:
-                failures.append(f"n={n} i={i + 1}")
-    return _result("entry-poly-flip", f"all cells, depth <= {depth}", failures)
+                yield f"n={n} i={i + 1}"
+    return f"all cells, depth <= {depth}"
 
 
-def check_left_half_dominance(max_depth: int) -> CheckResult:
+@_check("left-half-dominance")
+def check_left_half_dominance(max_depth: int) -> _Failures:
     depth = min(max_depth, 12)
-    failures = []
     pairs = [(u, v) for u, v in NARROW_GRID if u >= v]
     for u, v in pairs:
         params = MonoidParams(u, v)
         for n in range(1, depth + 1):
-            mus = [mu(m) for m in _row_mats(params, n)]
+            mus = [mu(m) for m in tree.row(IDENTITY, params, n)]
             size = 1 << n
             for i in range(size // 2):
                 if mus[size - 1 - i] > mus[i]:
-                    failures.append(f"u={u} v={v} n={n} i={i + 1}")
+                    yield f"u={u} v={v} n={n} i={i + 1}"
                     break
-    return _result(
-        "left-half-dominance",
-        f"(u,v) in [1..3]^2 with u >= v, depth <= {depth}, left-half cells",
-        failures,
-    )
+    return f"(u,v) in [1..3]^2 with u >= v, depth <= {depth}, left-half cells"
 
 
-def check_column_max(max_depth: int) -> CheckResult:
+@_check("column-max")
+def check_column_max(max_depth: int) -> _Failures:
     depth = min(max_depth, 8)
-    failures = []
     for u, v in NARROW_GRID:
         params = MonoidParams(u, v)
         for n in range(1, depth + 1):
@@ -286,40 +260,32 @@ def check_column_max(max_depth: int) -> CheckResult:
                 m = word_to_matrix(word, params)
                 expect = max(m.a, m.c) if word.endswith("L") else max(m.b, m.d)
                 if mu(m) != expect:
-                    failures.append(f"u={u} v={v} word={word}")
-    return _result(
-        "column-max",
-        f"(u,v) in [1..3]^2, all words of depth 1..{depth}, column by last letter",
-        failures,
-    )
+                    yield f"u={u} v={v} word={word}"
+    return f"(u,v) in [1..3]^2, all words of depth 1..{depth}, column by last letter"
 
 
-def check_single_peel_class(max_depth: int) -> CheckResult:
+@_check("single-peel-class")
+def check_single_peel_class(max_depth: int) -> _Failures:
     depth = min(max_depth, 10)
-    failures = []
     for u, v in NARROW_GRID:
         params = MonoidParams(u, v)
         if tree.classify(IDENTITY, params) is not tree.DominanceClass.NEITHER:
-            failures.append(f"u={u} v={v}: identity not NEITHER")
+            yield f"u={u} v={v}: identity not NEITHER"
         for n in range(1, depth + 1):
-            for m in _row_mats(params, n):
+            for m in tree.row(IDENTITY, params, n):
                 cls = tree.classify(m, params)
                 if cls not in (
                     tree.DominanceClass.U_LOWER_DOMINANT,
                     tree.DominanceClass.V_UPPER_DOMINANT,
                 ):
-                    failures.append(f"u={u} v={v} n={n}: {m.rows()} classified {cls.name}")
-    return _result(
-        "single-peel-class",
-        f"(u,v) in [1..3]^2, depth 1..{depth}: exactly one generator peels",
-        failures,
-    )
+                    yield f"u={u} v={v} n={n}: {m.rows()} classified {cls.name}"
+    return f"(u,v) in [1..3]^2, depth 1..{depth}: exactly one generator peels"
 
 
-def check_entry_poly_structure(max_depth: int) -> CheckResult:
+@_check("entry-poly-structure")
+def check_entry_poly_structure(max_depth: int) -> _Failures:
     depth = min(max_depth, 10)
     eval_points = [(2, 3), (1, 4)]
-    failures = []
     for n in range(depth + 1):
         for letters in product("LR", repeat=n):
             word = "".join(letters)
@@ -332,22 +298,18 @@ def check_entry_poly_structure(max_depth: int) -> CheckResult:
                 and max(f.total_degree for f in (f1, f2, f3, f4)) <= n
             )
             if not ok:
-                failures.append(f"structure broken for word {word}")
+                yield f"structure broken for word {word}"
                 continue
             for u, v in eval_points:
                 m = word_to_matrix(word, MonoidParams(u, v))
                 if (f1(u, v), f2(u, v), f3(u, v), f4(u, v)) != (m.a, m.b, m.c, m.d):
-                    failures.append(f"word {word} at u={u} v={v}: evaluation mismatch")
-    return _result(
-        "entry-poly-structure",
-        f"all words of depth <= {depth}; balanced/degree shape and evaluation",
-        failures,
-    )
+                    yield f"word {word} at u={u} v={v}: evaluation mismatch"
+    return f"all words of depth <= {depth}; balanced/degree shape and evaluation"
 
 
-def check_left_column_bound(max_depth: int) -> CheckResult:
+@_check("left-column-bound")
+def check_left_column_bound(max_depth: int) -> _Failures:
     top = min((max_depth - 1) // 2, 7)
-    failures = []
     for u, v in WIDE_GRID:
         params = MonoidParams(u, v)
         # The bound lives on the left column when u >= v; the mirror tree
@@ -356,36 +318,18 @@ def check_left_column_bound(max_depth: int) -> CheckResult:
         for n in range(top + 1):
             pair = extremal.alpha_gamma(oriented, 1, oriented.u, n)
             best_entry = best_sum = 0
-            for m in _row_mats(params, 2 * n + 1):
+            for m in tree.row(IDENTITY, params, 2 * n + 1):
                 x, y = (m.a, m.c) if u >= v else (m.b, m.d)
                 best_entry = max(best_entry, x, y)
                 best_sum = max(best_sum, x + y)
             if best_entry != pair.gamma:
-                failures.append(
-                    f"u={u} v={v} n={n}: column max {best_entry} != gamma {pair.gamma}"
-                )
+                yield f"u={u} v={v} n={n}: column max {best_entry} != gamma {pair.gamma}"
             if best_sum != pair.alpha + pair.gamma:
-                failures.append(
-                    f"u={u} v={v} n={n}: column sum {best_sum} != {pair.alpha + pair.gamma}"
-                )
-    return _result(
-        "left-column-bound",
+                yield f"u={u} v={v} n={n}: column sum {best_sum} != {pair.alpha + pair.gamma}"
+    return (
         f"(u,v) in [1..4]^2, odd depths <= {2 * top + 1}: dominant column capped by "
-        "the alternating-word column, with equality attained",
-        failures,
+        "the alternating-word column, with equality attained"
     )
-
-
-def suite_symmetry(max_depth: int) -> list[CheckResult]:
-    return [
-        check_mirror_symmetry(max_depth),
-        check_entry_poly_flip(max_depth),
-        check_left_half_dominance(max_depth),
-        check_column_max(max_depth),
-        check_single_peel_class(max_depth),
-        check_entry_poly_structure(max_depth),
-        check_left_column_bound(max_depth),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -418,227 +362,192 @@ def _dominating_pair(rng: random.Random) -> tuple[PolyN, PolyN]:
     return f, g
 
 
-def check_family_closed_forms(n_max: int = 20) -> CheckResult:
+@_check("family-closed-forms")
+def check_family_closed_forms(n_max: int = 20) -> _Failures:
     fs, gs, hs, is_ = _families_by_recurrence(n_max)
-    failures = []
     for n in range(n_max + 1):
         if polydom.f_poly(n) != fs[n]:
-            failures.append(f"f_poly({n})")
+            yield f"f_poly({n})"
         if polydom.g_poly(n) != gs[n]:
-            failures.append(f"g_poly({n})")
+            yield f"g_poly({n})"
         if n >= 1:
             if polydom.h_poly(n) != hs[n]:
-                failures.append(f"h_poly({n})")
+                yield f"h_poly({n})"
             if polydom.i_poly(n) != is_[n]:
-                failures.append(f"i_poly({n})")
-    return _result(
-        "family-closed-forms", f"binomial vs recurrence build, n <= {n_max}", failures
-    )
+                yield f"i_poly({n})"
+    return f"binomial vs recurrence build, n <= {n_max}"
 
 
-def check_order_laws(n_pairs: int = 2000, seed: int = RNG_SEED) -> CheckResult:
+@_check("order-laws")
+def check_order_laws(n_pairs: int = 2000, seed: int = RNG_SEED) -> _Failures:
     rng = random.Random(seed)
-    failures = []
     for trial in range(n_pairs):
         f, g = _random_poly(rng), _random_poly(rng)
         if not dominates(f, f):
-            failures.append(f"trial {trial}: reflexivity broken for {f}")
+            yield f"trial {trial}: reflexivity broken for {f}"
         if dominates(f, g) and dominates(g, f) and f != g:
-            failures.append(f"trial {trial}: antisymmetry broken")
+            yield f"trial {trial}: antisymmetry broken"
         if dominates(f, g) and f.degree < g.degree:
-            failures.append(f"trial {trial}: degree must not drop under dominance")
+            yield f"trial {trial}: degree must not drop under dominance"
         # Pointwise-coefficient comparison is a sufficient condition.
         width = max(len(f.coeffs), len(g.coeffs))
         if all(f.coefficient(i) >= g.coefficient(i) for i in range(width)) and not dominates(f, g):
-            failures.append(f"trial {trial}: coefficientwise >= did not imply dominance")
+            yield f"trial {trial}: coefficientwise >= did not imply dominance"
         # Constructed chains exercise transitivity and additivity.
         a, b = _dominating_pair(rng)
         c = b.shift(rng.randrange(2)) if rng.random() < 0.5 else _random_poly(rng, max_deg=3)
         if not dominates(a, b):
-            failures.append(f"trial {trial}: constructed pair does not dominate")
+            yield f"trial {trial}: constructed pair does not dominate"
         if dominates(b, c) and not dominates(a, c):
-            failures.append(f"trial {trial}: transitivity broken")
+            yield f"trial {trial}: transitivity broken"
         f2, g2 = _dominating_pair(rng)
         if not dominates(a + f2, b + g2):
-            failures.append(f"trial {trial}: additivity broken")
+            yield f"trial {trial}: additivity broken"
         i, j = sorted((rng.randrange(4), rng.randrange(4)))
         if not dominates(f.shift(j), f.shift(i)):
-            failures.append(f"trial {trial}: shift monotonicity broken")
-    return _result("order-laws", f"{n_pairs} seeded random pairs (seed {seed})", failures)
+            yield f"trial {trial}: shift monotonicity broken"
+    return f"{n_pairs} seeded random pairs (seed {seed})"
 
 
-def check_order_implies_pointwise(n_pairs: int = 2000, seed: int = RNG_SEED) -> CheckResult:
+@_check("order-implies-pointwise")
+def check_order_implies_pointwise(n_pairs: int = 2000, seed: int = RNG_SEED) -> _Failures:
     rng = random.Random(seed + 1)
-    failures = []
     checked = 0
     for _ in range(n_pairs):
         f, g = _dominating_pair(rng)
         checked += 1
         for r in range(1, 11):
             if f(r) < g(r):
-                failures.append(f"{f} dominates {g} but f({r}) < g({r})")
-    return _result(
-        "order-implies-pointwise",
-        f"{checked} dominating pairs evaluated at r = 1..10",
-        failures,
-    )
+                yield f"{f} dominates {g} but f({r}) < g({r})"
+    return f"{checked} dominating pairs evaluated at r = 1..10"
 
 
-def check_pointwise_converse_regression() -> CheckResult:
+@_check("pointwise-converse-regression")
+def check_pointwise_converse_regression() -> _Failures:
     f, g = PolyN((1, 0, 0, 1)), PolyN((0, 1, 1))  # x^3+1 vs x^2+x
-    failures = []
     if dominates(f, g):
-        failures.append("x^3+1 must not dominate x^2+x (suffix sum at N=1 is 1 vs 2)")
+        yield "x^3+1 must not dominate x^2+x (suffix sum at N=1 is 1 vs 2)"
     if any(f(r) < g(r) for r in range(1, 11)):
-        failures.append("x^3+1 >= x^2+x pointwise should hold; counterexample broken")
-    return _result(
-        "pointwise-converse-regression", "x^3+1 vs x^2+x: pointwise >= without dominance", failures
-    )
+        yield "x^3+1 >= x^2+x pointwise should hold; counterexample broken"
+    return "x^3+1 vs x^2+x: pointwise >= without dominance"
 
 
-def check_family_chain(n_max: int = 12) -> CheckResult:
-    failures = []
+@_check("family-chain")
+def check_family_chain(n_max: int = 12) -> _Failures:
     for n in range(1, n_max + 1):
         f, g = polydom.f_poly(n), polydom.g_poly(n)
         h, i = polydom.h_poly(n), polydom.i_poly(n)
         if not dominates(g, h):
-            failures.append(f"n={n}: g does not dominate h")
+            yield f"n={n}: g does not dominate h"
         if not dominates(h, i):
-            failures.append(f"n={n}: h does not dominate i")
+            yield f"n={n}: h does not dominate i"
         if not dominates(f + g, h + i):
-            failures.append(f"n={n}: f+g does not dominate h+i")
-    return _result("family-chain", f"n = 1..{n_max}", failures)
+            yield f"n={n}: f+g does not dominate h+i"
+    return f"n = 1..{n_max}"
 
 
-def check_family_step_chain(n_max: int = 12) -> CheckResult:
+@_check("family-step-chain")
+def check_family_step_chain(n_max: int = 12) -> _Failures:
     two_x = PolyN((0, 2))
-    failures = []
     for n in range(1, n_max + 1):
         f, g = polydom.f_poly(n), polydom.g_poly(n)
         h, i = polydom.h_poly(n), polydom.i_poly(n)
         if not dominates(polydom.g_poly(n + 1), two_x * h + i):
-            failures.append(f"n={n}: g_{{n+1}} does not dominate 2x*h+i")
+            yield f"n={n}: g_{{n+1}} does not dominate 2x*h+i"
         if not dominates(polydom.h_poly(n + 1), f + g + g):
-            failures.append(f"n={n}: h_{{n+1}} does not dominate f+2g")
+            yield f"n={n}: h_{{n+1}} does not dominate f+2g"
         if f.shift(1) + g != polydom.i_poly(n + 1):
-            failures.append(f"n={n}: x*f+g != i_{{n+1}}")
-    return _result("family-step-chain", f"n = 1..{n_max}", failures)
+            yield f"n={n}: x*f+g != i_{{n+1}}"
+    return f"n = 1..{n_max}"
 
 
-def check_word_column_match(n_max: int = 10) -> CheckResult:
-    failures = []
+@_check("word-column-match")
+def check_word_column_match(n_max: int = 10) -> _Failures:
     for n in range(n_max + 1):
         word = "LR" * n + "L"
         if polydom.left_column_polys(word) != (polydom.f_poly(n), polydom.g_poly(n)):
-            failures.append(f"(LR)^{n}L column polynomials")
+            yield f"(LR)^{n}L column polynomials"
         if n >= 1:
             word2 = "RL" * n + "L"
             if polydom.left_column_polys(word2) != (polydom.h_poly(n), polydom.i_poly(n)):
-                failures.append(f"(RL)^{n}L column polynomials")
+                yield f"(RL)^{n}L column polynomials"
         for r in range(1, 6):
             params = MonoidParams(r, 1)
             m = word_to_matrix(word, params)
             f, g = polydom.left_column_polys(word)
             if (f(r), g(r)) != (m.a, m.c):
-                failures.append(f"(LR)^{n}L at u={r}: evaluation mismatch")
-    return _result(
-        "word-column-match",
-        f"alternating words n <= {n_max}, evaluated at u = 1..5 against products",
-        failures,
-    )
+                yield f"(LR)^{n}L at u={r}: evaluation mismatch"
+    return f"alternating words n <= {n_max}, evaluated at u = 1..5 against products"
 
 
-def check_binomial_merge(a_max: int = 6) -> CheckResult:
-    failures = []
+@_check("binomial-merge")
+def check_binomial_merge(a_max: int = 6) -> _Failures:
     for a in range(1, a_max + 1):
         for b in range(2 * a - 2, 2 * a + 7):
             if not polydom.pascal_merge_check(a, b):
-                failures.append(f"a={a} b={b}")
-    return _result("binomial-merge", f"a = 1..{a_max}, b = 2a-2..2a+6", failures)
+                yield f"a={a} b={b}"
+    return f"a = 1..{a_max}, b = 2a-2..2a+6"
 
 
-def check_fibonacci_poly_link(n_max: int = 6) -> CheckResult:
+@_check("fibonacci-poly-link")
+def check_fibonacci_poly_link(n_max: int = 6) -> _Failures:
     # Fibonacci polynomials: P_1 = 1, P_2 = x, P_{m+1} = x*P_m + P_{m-1}.
     fib = [ZERO, ONE, X]
     for _ in range(2 * n_max):
         fib.append(fib[-1].shift(1) + fib[-2])
-    failures = []
     for n in range(1, n_max + 1):
         f = polydom.f_poly(n)
         spread = [0] * (2 * f.degree + 1)
         for k, coeff in enumerate(f.coeffs):
             spread[2 * k] = coeff
         if PolyN(spread) != fib[2 * n + 1]:
-            failures.append(f"n={n}: f_poly(x^2) != fibonacci poly 2n+1")
-    return _result(
-        "fibonacci-poly-link", f"f_poly(x^2) vs odd-index Fibonacci polynomial, n <= {n_max}", failures
-    )
-
-
-def suite_polydom(max_depth: int) -> list[CheckResult]:
-    del max_depth  # fixed ranges; the depth knob applies to tree suites
-    return [
-        check_family_closed_forms(),
-        check_order_laws(),
-        check_order_implies_pointwise(),
-        check_pointwise_converse_regression(),
-        check_family_chain(),
-        check_family_step_chain(),
-        check_word_column_match(),
-        check_binomial_merge(),
-        check_fibonacci_poly_link(),
-    ]
+            yield f"n={n}: f_poly(x^2) != fibonacci poly 2n+1"
+    return f"f_poly(x^2) vs odd-index Fibonacci polynomial, n <= {n_max}"
 
 
 # ---------------------------------------------------------------------------
 # hash: worked values, the no-collision horizon, streaming laws
 
 
-def check_hash_worked_example() -> CheckResult:
-    failures = []
+@_check("worked-example")
+def check_hash_worked_example() -> _Failures:
     small = bsvhash.HashParams(2, 3, 5)
     d = bsvhash.hash_string(small, "01100")
     if (d.a, d.b, d.c, d.d) != (0, 1, 4, 3):
-        failures.append(f"mod 5 digest {d} != [[0,1],[4,3]]")
+        yield f"mod 5 digest {d} != [[0,1],[4,3]]"
     if bsvhash.digest_hex(d, small) != "00010403":
-        failures.append(f"hex {bsvhash.digest_hex(d, small)} != 00010403")
+        yield f"hex {bsvhash.digest_hex(d, small)} != 00010403"
     wide = bsvhash.HashParams(2, 3, 101)
     d2 = bsvhash.hash_string(wide, "01100")
     if (d2.a, d2.b, d2.c, d2.d) != (25, 6, 54, 13):
-        failures.append(f"mod 101 digest {d2} != [[25,6],[54,13]]")
-    return _result("worked-example", "u=2 v=3: 01100 mod 5 and mod 101", failures)
+        yield f"mod 101 digest {d2} != [[25,6],[54,13]]"
+    return "u=2 v=3: 01100 mod 5 and mod 101"
 
 
-def check_horizon_no_collision() -> CheckResult:
-    failures = []
+@_check("horizon-no-collision")
+def check_horizon_no_collision() -> _Failures:
     for (u, v), p in product(HASH_GRID, HASH_PRIMES):
         params = bsvhash.HashParams(u, v, p)
         n0 = bsvhash.bound_n0(params)
         hit = bsvhash.exhaustive_collision_check(params, n0)
         if hit is not None:
-            failures.append(f"u={u} v={v} p={p}: collision {hit} within horizon {n0}")
-    return _result(
-        "horizon-no-collision",
-        f"(u,v) in {HASH_GRID}, p in {HASH_PRIMES}, all strings up to n0",
-        failures,
-    )
+            yield f"u={u} v={v} p={p}: collision {hit} within horizon {n0}"
+    return f"(u,v) in {HASH_GRID}, p in {HASH_PRIMES}, all strings up to n0"
 
 
-def check_small_modulus_collision() -> CheckResult:
+@_check("small-modulus-collision")
+def check_small_modulus_collision() -> _Failures:
     params = bsvhash.HashParams(2, 3, 5)
     hit = bsvhash.exhaustive_collision_check(params, 5)
-    failures = []
     if hit != ("", "00000"):
-        failures.append(f"expected ('', '00000'), got {hit}")
-    return _result(
-        "small-modulus-collision", "u=2 v=3 p=5: first shortlex collision", failures
-    )
+        yield f"expected ('', '00000'), got {hit}"
+    return "u=2 v=3 p=5: first shortlex collision"
 
 
-def check_streaming_one_shot(n_strings: int = 200, seed: int = RNG_SEED) -> CheckResult:
+@_check("streaming-one-shot")
+def check_streaming_one_shot(n_strings: int = 200, seed: int = RNG_SEED) -> _Failures:
     rng = random.Random(seed + 2)
     params = bsvhash.HashParams(2, 3, 101)
-    failures = []
     for trial in range(n_strings):
         bits = [rng.randrange(2) for _ in range(rng.randrange(64))]
         one_shot = bsvhash.hash_string(params, bits)
@@ -646,19 +555,19 @@ def check_streaming_one_shot(n_strings: int = 200, seed: int = RNG_SEED) -> Chec
         for b in bits:
             st.update_bit(b)
         if st.digest() != one_shot:
-            failures.append(f"trial {trial}: bitwise streaming differs")
+            yield f"trial {trial}: bitwise streaming differs"
         cut = rng.randrange(len(bits) + 1)
         st2 = bsvhash.HashState(params).update(bits[:cut]).update(bits[cut:])
         if st2.digest() != one_shot:
-            failures.append(f"trial {trial}: chunked streaming differs")
+            yield f"trial {trial}: chunked streaming differs"
         if st2.bits_consumed != len(bits):
-            failures.append(f"trial {trial}: bit counter off")
-    return _result("streaming-one-shot", f"{n_strings} seeded random strings", failures)
+            yield f"trial {trial}: bit counter off"
+    return f"{n_strings} seeded random strings"
 
 
-def check_unit_determinant(n_strings: int = 200, seed: int = RNG_SEED) -> CheckResult:
+@_check("unit-determinant")
+def check_unit_determinant(n_strings: int = 200, seed: int = RNG_SEED) -> _Failures:
     rng = random.Random(seed + 3)
-    failures = []
     for trial in range(n_strings):
         u, v = rng.randrange(1, 6), rng.randrange(1, 6)
         p = rng.choice(HASH_PRIMES)
@@ -666,59 +575,79 @@ def check_unit_determinant(n_strings: int = 200, seed: int = RNG_SEED) -> CheckR
         for _ in range(rng.randrange(1, 48)):
             st.update_bit(rng.randrange(2))
             if (st.a * st.d - st.b * st.c) % p != 1:
-                failures.append(f"trial {trial}: determinant left the unit class")
+                yield f"trial {trial}: determinant left the unit class"
                 break
-    return _result("unit-determinant", f"{n_strings} seeded random update streams", failures)
+    return f"{n_strings} seeded random update streams"
 
 
-def check_below_horizon_exact(seed: int = RNG_SEED) -> CheckResult:
+@_check("below-horizon-exact")
+def check_below_horizon_exact(seed: int = RNG_SEED) -> _Failures:
     params = bsvhash.HashParams(2, 3, BIG_PRIME)
     rng = random.Random(seed + 4)
-    failures = []
     for trial in range(100):
         bits = [rng.randrange(2) for _ in range(rng.randrange(17))]
         word = "".join("L" if b == 0 else "R" for b in bits)
         m = word_to_matrix(word, params.monoid_params)
         d = bsvhash.hash_string(params, bits)
         if (d.a, d.b, d.c, d.d) != (m.a, m.b, m.c, m.d):
-            failures.append(f"trial {trial}: reduction altered an in-range product")
-    return _result(
-        "below-horizon-exact",
-        "100 strings of length <= 16 against exact integer products (p = 2^61-1)",
-        failures,
-    )
-
-
-def suite_hash(max_depth: int) -> list[CheckResult]:
-    del max_depth
-    return [
-        check_hash_worked_example(),
-        check_horizon_no_collision(),
-        check_small_modulus_collision(),
-        check_streaming_one_shot(),
-        check_unit_determinant(),
-        check_below_horizon_exact(),
-    ]
+            yield f"trial {trial}: reduction altered an in-range product"
+    return "100 strings of length <= 16 against exact integer products (p = 2^61-1)"
 
 
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("formulas", "symmetry", "polydom", "hash")
+# Each suite's checks in report order.
 _SUITES = {
-    "formulas": suite_formulas,
-    "symmetry": suite_symmetry,
-    "polydom": suite_polydom,
-    "hash": suite_hash,
+    "formulas": (
+        check_max_entry_oracle,
+        check_radical_closed_form,
+        check_uv_symmetry,
+        check_monotonicity,
+        check_witness_attainment,
+        check_alternating_column,
+        check_fibonacci_like_link,
+        check_lucas_pairs,
+    ),
+    "symmetry": (
+        check_mirror_symmetry,
+        check_entry_poly_flip,
+        check_left_half_dominance,
+        check_column_max,
+        check_single_peel_class,
+        check_entry_poly_structure,
+        check_left_column_bound,
+    ),
+    "polydom": (
+        check_family_closed_forms,
+        check_order_laws,
+        check_order_implies_pointwise,
+        check_pointwise_converse_regression,
+        check_family_chain,
+        check_family_step_chain,
+        check_word_column_match,
+        check_binomial_merge,
+        check_fibonacci_poly_link,
+    ),
+    "hash": (
+        check_hash_worked_example,
+        check_horizon_no_collision,
+        check_small_modulus_collision,
+        check_streaming_one_shot,
+        check_unit_determinant,
+        check_below_horizon_exact,
+    ),
 }
+SUITE_NAMES = tuple(_SUITES)
+# The depth knob sizes these suites; polydom and hash run fixed ranges.
+_DEPTH_SUITES = ("formulas", "symmetry")
 
 
 def run_suite(name: str, max_depth: int) -> list[CheckResult]:
     """Run one named suite (or 'all') and return its check results."""
-    if name == "all":
-        results = []
-        for key in SUITE_NAMES:
-            results.extend(_SUITES[key](max_depth))
-        return results
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    return _SUITES[name](max_depth)
+    results = []
+    for key in SUITE_NAMES if name == "all" else (name,):
+        args = (max_depth,) if key in _DEPTH_SUITES else ()
+        results.extend(check(*args) for check in _SUITES[key])
+    return results

@@ -217,6 +217,19 @@ class TestClosedFormParams:
         with pytest.raises(InvalidParams):
             closed_form_params(P23, 0, 0)
 
+    @pytest.mark.parametrize("method", ["alpha_float", "gamma_float"])
+    @pytest.mark.parametrize("n", [1.5, "3", None, True])
+    def test_n_must_be_an_integer(self, method, n):
+        evaluate = getattr(closed_form_params(P23, 1, 2), method)
+        with pytest.raises(InvalidParams, match=f"n must be an integer, got {n!r}"):
+            evaluate(n)
+
+    @pytest.mark.parametrize("method", ["alpha_float", "gamma_float"])
+    def test_negative_n_is_valid(self, method):
+        # lambda1 * lambda2 = 1, so the orbit runs backwards to n < 0.
+        evaluate = getattr(closed_form_params(P23, 1, 2), method)
+        assert evaluate(-3).is_finite()
+
 
 class TestClosedFormFloat:
     def test_known_values(self):
