@@ -33,7 +33,8 @@ class IndexOutOfRange(MatMonoidError, IndexError):
 
 
 class LimitExceeded(MatMonoidError):
-    """A brute-force enumeration would exceed the configured cap."""
+    """A brute-force enumeration would exceed the configured cap, or an
+    answer would be too long to build (a word past sys.maxsize letters)."""
 
 
 class WitnessMismatch(MatMonoidError):

@@ -10,6 +10,7 @@ cross-checks everything against the radical closed forms in 37-digit
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 
@@ -86,13 +87,19 @@ def lucas(P: int, m: int) -> LucasPair:
     """
     require_int("P", P, 3)
     require_int("m", m, 0)
+    return LucasPair(P, m, *_ladder(P, m))
+
+
+def _ladder(P: int, m: int) -> tuple[int, int]:
+    """The ladder of lucas, unchecked and unwrapped: (U_m, V_m) for the
+    callers in this module, which pass a valid P and m."""
     U, V = 0, 2
     D = P * P - 4
     for k in range(m.bit_length() - 1, -1, -1):
         U, V = U * V, V * V - 2
         if m >> k & 1:
             U, V = (P * U + V) // 2, (D * U + P * V) // 2
-    return LucasPair(P, m, U, V)
+    return U, V
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,10 +133,10 @@ def alpha_gamma(params: MonoidParams, a: int, c: int, n: int) -> AlphaGammaPair:
     _require_start_column(a, c)
     require_int("n", n, 0)
     u, v = params.u, params.v
-    pair = lucas(2 + u * v, n)
-    prev = ((2 + u * v) * pair.U - pair.V) // 2
-    alpha = pair.U * (a + v * c) - prev * a
-    gamma = pair.U * (u * a + (1 + u * v) * c) - prev * c
+    U, V = _ladder(2 + u * v, n)
+    prev = ((2 + u * v) * U - V) // 2
+    alpha = U * (a + v * c) - prev * a
+    gamma = U * (u * a + (1 + u * v) * c) - prev * c
     return AlphaGammaPair(n, alpha, gamma)
 
 
@@ -244,31 +251,50 @@ def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> Decima
         ) / (2 * edge)
 
 
+def _parity_coeffs(s: int, t: int, n: int) -> tuple[int, int]:
+    """(alpha, beta) with mu_depth(params, n) = alpha*U_{m+1} + beta*U_m for
+    m = n >> 1 and n >= 1, where s = min(u,v), t = max(u,v) and P = 2+st:
+
+        mu(2j-1) = t * U_j
+        mu(2j)   = U_{j+1} - U_j                s > 1
+                   t * (U_{j+1} - t*U_j)        s = 1
+    """
+    if n % 2 == 1:
+        return t, 0
+    return (1, -1) if s > 1 else (t, -t * t)
+
+
+def _combo(P: int, m: int, alpha: int, beta: int) -> int:
+    """alpha*U_{m+1} + beta*U_m from the ladder at m >> 1 and one top product.
+
+    X_k = alpha*U_{k+1} + beta*U_k solves x_{k+1} = P*x_k - x_{k-1}, and
+    every solution satisfies X_{2h} = X_h*V_h - X_0 and
+    X_{2h+1} = X_{h+1}*V_h - X_1 (Joye and Quisquater, 1996). With
+    h = m >> 1, the last doubling is the single product X_h*V_h or
+    X_{h+1}*V_h, where lucas(P, m) would pay for U*V and V^2.
+    """
+    U, V = _ladder(P, m >> 1)
+    up = (P * U + V) // 2  # U_{h+1}; U_{h+2} = P*U_{h+1} - U_h
+    if m & 1:
+        return (alpha * (P * up - U) + beta * up) * V - (alpha * P + beta)
+    return (alpha * up + beta * U) * V - alpha
+
+
 def mu_depth(params: MonoidParams, n: int) -> int:
     """Exact maximal entry over all depth-n products, in O(log n) steps.
 
-    With P = 2+uv, s = min(u,v), t = max(u,v):
-
-        n = 0:       1
-        n = 2k+1:    t * U_{k+1}
-        n = 2k+2:    (uv*U_{k+1} + V_{k+1}) / 2                 s > 1
-                     t * ((2-t)*U_{k+1} + V_{k+1}) / 2          s = 1
-
-    Both half-sums are exact (the numerators are even mod-2 for every P)
-    and the s=1 numerator is positive because V_m^2 = (t^2+4t)U_m^2 + 4
-    exceeds ((t-2)U_m)^2.
+    mu(0) = 1, and for n >= 1 the parity formulas of _parity_coeffs give
+    mu(n) = alpha*U_{m+1} + beta*U_m with m = n >> 1, for P = 2+uv. _combo
+    evaluates it with the ladder at m >> 1 and one top product by the
+    doubling identity X_{2h} = X_h*V_h - X_0 (X_{2h+1} = X_{h+1}*V_h - X_1),
+    which every solution of the recurrence satisfies.
     """
     require_int("depth", n, 0)
     if n == 0:
         return 1
     s, t = params.s, params.t
-    P = 2 + s * t
-    if n % 2 == 1:
-        return t * lucas(P, (n + 1) // 2).U
-    pair = lucas(P, n // 2)
-    if s > 1:
-        return (s * t * pair.U + pair.V) // 2
-    return t * (((2 - t) * pair.U + pair.V) // 2)
+    alpha, beta = _parity_coeffs(s, t, n)
+    return _combo(2 + s * t, n >> 1, alpha, beta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,29 +357,60 @@ def fseq(params: MonoidParams, n: int) -> int:
     With (u, v) = (1, 1) this is the Fibonacci sequence. Oriented as
     (min(u,v), max(u,v)), the value at n+1 equals mu_depth at n whenever
     u, v > 1 or u = v = 1. With P = 2+uv, F_{2k} = v*U_k and
-    F_{2k+1} = U_{k+1} - U_k = (V_{k+1} - uv*U_{k+1})/2.
+    F_{2k+1} = U_{k+1} - U_k; _combo evaluates either from the ladder at
+    n >> 2 and one top product by the doubling identity
+    X_{2h} = X_h*V_h - X_0 (X_{2h+1} = X_{h+1}*V_h - X_1).
     """
     require_int("index", n, 0)
-    u, v = params.u, params.v
-    pair = lucas(2 + u * v, (n + 1) // 2)
-    return v * pair.U if n % 2 == 0 else (pair.V - u * v * pair.U) // 2
+    P = 2 + params.u * params.v
+    if n % 2 == 1:
+        return _combo(P, n >> 1, 1, -1)
+    return _combo(P, n >> 1, 0, params.v)
+
+
+def _horizon_seed(s: int, t: int, bound: int) -> int:
+    """A float estimate, at least 0, of collision_horizon(params, bound) for
+    s = min(u,v) and t = max(u,v).
+
+    mu(2j-1) = t*U_j is about t*lambda1^j / sqrt(P^2-4) with
+    lambda1 = (P + sqrt(P^2-4))/2, and the even depths lie between their
+    odd neighbours. Solving t*lambda1^((n+1)/2) / sqrt(P^2-4) = bound for n
+    lands within 2 of the answer (the tests pin this up to 200,000-bit
+    bounds). The logarithms take the integers themselves, so no float
+    overflows for a huge P or bound.
+    """
+    P = 2 + s * t
+    log_lambda = math.log(P) + math.log((1 + math.sqrt(1 - 4 / (P * P))) / 2)
+    log_scale = math.log(t) - math.log(P * P - 4) / 2
+    return max(int(2 * (math.log(bound) - log_scale) / log_lambda) - 1, 0)
 
 
 def collision_horizon(params: MonoidParams, bound: int) -> int:
     """Largest n with mu_depth(params, n) < bound.
 
-    Exists because mu_depth(0) = 1 < bound and the sequence is unbounded;
-    found by exponential then binary search on the (strictly, from n=1)
-    increasing sequence. O(log^2) big-integer work.
+    Exists because mu_depth(0) = 1 < bound and the sequence is unbounded.
+    One ladder, the loop of lucas at m = _horizon_seed(s, t, bound) >> 1,
+    gives (U_m, U_{m+1}); the walk then steps U_{m+-1} = P*U_m - U_{m-+1}
+    until mu(2m) < bound <= mu(2m+2), reading mu from _parity_coeffs, and
+    the answer is 2m+1 if mu(2m+1) < bound, else 2m. The bracket certifies
+    the answer, as mu is strictly increasing from n = 1 (at m = 0,
+    mu(0) = 1 < bound stands in for the formula). The float seed only picks
+    the start, within a step or two of the end, so the walk is O(1) linear
+    steps after the ladder.
     """
     require_int("bound", bound, 2)
-    lo, hi = 0, 1
-    while mu_depth(params, hi) < bound:
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mu_depth(params, mid) < bound:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    s, t = params.s, params.t
+    P = 2 + s * t
+    alpha, beta = _parity_coeffs(s, t, 2)
+    odd_alpha, odd_beta = _parity_coeffs(s, t, 1)
+    m = _horizon_seed(s, t, bound) >> 1
+    lo, V = _ladder(P, m)
+    hi = (P * lo + V) // 2
+    while m > 0 and alpha * hi + beta * lo >= bound:
+        lo, hi, m = P * lo - hi, lo, m - 1
+    while True:
+        up = P * hi - lo
+        if alpha * up + beta * hi >= bound:
+            break
+        lo, hi, m = hi, up, m + 1
+    return 2 * m + 1 if odd_alpha * hi + odd_beta * lo < bound else 2 * m

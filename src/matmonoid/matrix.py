@@ -12,9 +12,10 @@ integers throughout.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-from .errors import NotInMonoid, require_int, show
+from .errors import LimitExceeded, NotInMonoid, require_int, show
 
 __all__ = [
     "MonoidParams",
@@ -192,7 +193,9 @@ def factor(m: Mat2, params: MonoidParams) -> str:
     costs O(M(n) log n), where M(n) is the cost of multiplying two n-bit
     integers, instead of the O(n^2) of peeling letter by letter.
 
-    Raises NotInMonoid if m is not reachable from the identity.
+    Raises NotInMonoid if m is not reachable from the identity, and
+    LimitExceeded if its word has more than sys.maxsize letters (the run
+    lengths are summed before the word is built).
     """
     u, v = params.u, params.v
     a, b, c, d = m.a, m.b, m.c, m.d
@@ -201,6 +204,11 @@ def factor(m: Mat2, params: MonoidParams) -> str:
     runs, _, rest = _peel(a, b, c, d, u, v, 0)
     if rest != (1, 0, 0, 1):
         raise NotInMonoid("no generator divides the matrix; not in the monoid")
+    letters = sum(map(abs, runs))
+    if letters > sys.maxsize:
+        raise LimitExceeded(
+            f"the word has {show(letters)} letters, more than the {sys.maxsize} a str can hold"
+        )
     return "".join(["L" * q if q > 0 else "R" * -q for q in runs])
 
 

@@ -1,6 +1,8 @@
 """Exact depth maxima, Lucas-sequence evaluation, witness words, the
 left-column dynamical system, and 37-digit radical cross-checks."""
 import decimal
+import functools
+import random
 from decimal import Decimal
 
 import hypothesis.strategies as st
@@ -90,6 +92,70 @@ def fseq_by_steps(params, n):
     for m in range(2, n + 1):
         prev, cur = cur, (params.u if m % 2 else params.v) * cur + prev
     return cur
+
+
+def mu_depth_by_two_products(params, n):
+    """The depth maximum from lucas at the full index, whose last doubling
+    pays for U*V and V^2: the reference for mu_depth."""
+    if n == 0:
+        return 1
+    s, t = params.s, params.t
+    P = 2 + s * t
+    if n % 2 == 1:
+        return t * lucas(P, (n + 1) // 2).U
+    pair = lucas(P, n // 2)
+    if s > 1:
+        return (s * t * pair.U + pair.V) // 2
+    return t * (((2 - t) * pair.U + pair.V) // 2)
+
+
+def fseq_by_two_products(params, n):
+    """F_n from lucas at the full index: the reference for fseq."""
+    u, v = params.u, params.v
+    pair = lucas(2 + u * v, (n + 1) // 2)
+    return v * pair.U if n % 2 == 0 else (pair.V - u * v * pair.U) // 2
+
+
+def combo_by_two_products(P, m, alpha, beta):
+    """alpha*U_{m+1} + beta*U_m from lucas at m: the reference for _combo."""
+    pair = lucas(P, m)
+    return alpha * ((P * pair.U + pair.V) // 2) + beta * pair.U
+
+
+def collision_horizon_by_search(params, bound):
+    """Exponential then binary search on the depth maxima, about 2*log2(n)
+    ladders: the reference for collision_horizon."""
+    lo, hi = 0, 1
+    while _searched_maximum(params, hi) < bound:
+        lo, hi = hi, hi * 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _searched_maximum(params, mid) < bound:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# The searches of nearby bounds probe the same depths; the cache only saves
+# recomputing them.
+_searched_maximum = functools.lru_cache(maxsize=4096)(mu_depth_by_two_products)
+
+
+# Every (u, v) in [1..6]^2: both orientations of each pair, and s = 1.
+GRID = [MonoidParams(u, v) for u in range(1, 7) for v in range(1, 7)]
+
+
+def around_powers_of_two(ks):
+    """2^k - 1, 2^k and 2^k + 1: ladder indices of all ones, one bit, two bits."""
+    return sorted({2**k + d for k in ks for d in (-1, 0, 1)})
+
+
+# Each n in 0..3000 (every bit pattern of the ladder's index up to 10 bits),
+# then around the powers of two up to 2^14 on the whole grid; 2^15..2^20
+# cost up to seconds per pair, so they run on fewer parameters.
+GRID_DEPTHS = sorted({*range(3001), *around_powers_of_two(range(1, 15))})
+DEEP_DEPTHS = around_powers_of_two(range(15, 21))
 
 
 class TestLucas:
@@ -421,6 +487,37 @@ class TestFseq:
             fseq(P23, -1)
 
 
+class TestTopProduct:
+    """_combo's one top product against lucas at the full index, and the
+    depth maxima and fseq built on it against their two-product forms."""
+
+    @pytest.mark.parametrize("P", [3, 4, 8, 38])
+    def test_combo_matches_two_products(self, P):
+        shapes = [(1, 0), (0, 1), (1, -1), (6, 0), (6, -36), (0, 6), (-5, 7)]
+        for m in [*range(200), *around_powers_of_two(range(8, 15))]:
+            for alpha, beta in shapes:
+                assert extremal._combo(P, m, alpha, beta) == \
+                    combo_by_two_products(P, m, alpha, beta), (P, m, alpha, beta)
+
+    @pytest.mark.parametrize("u", range(1, 7))
+    def test_mu_depth_matches_two_products(self, u):
+        for params in GRID[6 * (u - 1):6 * u]:
+            for n in GRID_DEPTHS:
+                assert mu_depth(params, n) == mu_depth_by_two_products(params, n), (params, n)
+
+    @pytest.mark.parametrize("u", range(1, 7))
+    def test_fseq_matches_two_products(self, u):
+        for params in GRID[6 * (u - 1):6 * u]:
+            for n in GRID_DEPTHS:
+                assert fseq(params, n) == fseq_by_two_products(params, n), (params, n)
+
+    def test_deep_depths_at_unit_parameters(self):
+        params = MonoidParams(1, 1)
+        for n in DEEP_DEPTHS:
+            assert mu_depth(params, n) == mu_depth_by_two_products(params, n), n
+            assert fseq(params, n) == fseq_by_two_products(params, n), n
+
+
 class TestCollisionHorizon:
     def test_known_values(self):
         assert collision_horizon(P23, 5) == 1
@@ -440,6 +537,69 @@ class TestCollisionHorizon:
     def test_domain_validation(self):
         with pytest.raises(InvalidParams):
             collision_horizon(P23, 1)
+
+    @pytest.mark.parametrize("u", range(1, 7))
+    def test_matches_the_search_on_small_bounds(self, u):
+        for params in GRID[6 * (u - 1):6 * u]:
+            for bound in range(2, 501):
+                assert collision_horizon(params, bound) == \
+                    collision_horizon_by_search(params, bound), (params, bound)
+
+    @pytest.mark.parametrize("u", range(1, 7))
+    def test_matches_the_search_at_the_maxima(self, u):
+        # A bound equal to mu(n) or one off it, where the walk's bracket
+        # mu(n) < bound <= mu(n+1) is tightest.
+        for params in GRID[6 * (u - 1):6 * u]:
+            for n in [*range(1, 401), 10**4]:
+                top = mu_depth_by_two_products(params, n)
+                for bound in (top - 1, top, top + 1):
+                    if bound >= 2:
+                        assert collision_horizon(params, bound) == \
+                            collision_horizon_by_search(params, bound), (params, n, bound)
+
+    def test_matches_the_search_on_seeded_bounds(self):
+        rng = random.Random(4096)
+        for _ in range(300):
+            params = rng.choice(GRID)
+            bound = rng.getrandbits(rng.randint(2, 4096)) + 2
+            assert collision_horizon(params, bound) == \
+                collision_horizon_by_search(params, bound), (params, bound)
+
+    def test_parameters_past_the_float_range(self):
+        # P^2 overflows a float here; the seed works from the integers' logs.
+        for u, v, bound in [(10**200, 3, 10**1000), (1, 10**400, 10**5000),
+                            (10**400, 10**400, 2), (10**400, 10**400, 10**400),
+                            (7, 10**20, 10**25), (1, 10**20, 10**10)]:
+            params = MonoidParams(u, v)
+            assert collision_horizon(params, bound) == \
+                collision_horizon_by_search(params, bound), (u, v)
+
+
+class TestHorizonSeed:
+    """The float seed lands within 2 of the answer, so the walk after the
+    one ladder takes O(1) linear steps and never turns into a scan."""
+
+    @pytest.mark.parametrize("u", range(1, 7))
+    def test_within_two_on_the_grid(self, u):
+        for params in GRID[6 * (u - 1):6 * u]:
+            bounds = [*range(2, 501)]
+            for n in [*range(1, 401), 10**4]:
+                top = mu_depth(params, n)
+                bounds += [b for b in (top - 1, top, top + 1) if b >= 2]
+            for bound in bounds:
+                seed = extremal._horizon_seed(params.s, params.t, bound)
+                assert abs(seed - collision_horizon(params, bound)) <= 2, (params, bound)
+
+    def test_within_two_up_to_200000_bits(self):
+        rng = random.Random(200000)
+        for bits in (4096, 20000, 65536, 200000):
+            for params in (MonoidParams(1, 1), MonoidParams(1, 6), MonoidParams(2, 3),
+                           MonoidParams(6, 6)):
+                bound = rng.getrandbits(bits) | 1 << (bits - 1)
+                h = collision_horizon(params, bound)
+                assert mu_depth(params, h) < bound <= mu_depth(params, h + 1)
+                seed = extremal._horizon_seed(params.s, params.t, bound)
+                assert abs(seed - h) <= 2, (params, bits)
 
 
 class TestWitnessMismatchType:

@@ -29,6 +29,7 @@ from matmonoid import (
 from matmonoid import bsvhash
 from matmonoid.bsvhash import _extra_strong_lucas, _miller_rabin_witness, _split_two
 from test_acceptance import PRIME_2048
+from test_extremal import collision_horizon_by_search
 
 HP235 = HashParams(2, 3, 5)
 BIG_PRIME = 2**61 - 1
@@ -475,6 +476,14 @@ class TestBoundN0:
         for u, v, p in [(1, 1, 101), (2, 3, 257), (3, 2, 1009)]:
             assert bound_n0(HashParams(u, v, p)) == \
                 collision_horizon(MonoidParams(u, v), p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 101, 257, 1009, BIG_PRIME,
+                                   2**127 - 1, 2**521 - 1, PRIME_2048, 2**2203 - 1],
+                             ids=lambda p: str(p) if p < 2**32 else f"{p.bit_length()}-bit")
+    def test_agrees_with_the_search_on_every_prime_here(self, p):
+        for u, v in [(1, 1), (1, 6), (6, 1), (2, 3), (3, 2), (5, 7), (6, 6)]:
+            assert bound_n0(HashParams(u, v, p)) == \
+                collision_horizon_by_search(MonoidParams(u, v), p), (u, v)
 
 
 class TestExhaustiveCollisionCheck:

@@ -10,6 +10,7 @@ from hypothesis import given
 from matmonoid import (
     IDENTITY,
     InvalidParams,
+    LimitExceeded,
     Mat2,
     MonoidParams,
     NotInMonoid,
@@ -397,6 +398,22 @@ class TestRunPeeling:
         assert factor(Mat2(1, 0, 10**7, 1), params) == "L" * 10**7
         # One division per run, not one loop step per letter (several seconds).
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("k", [2**63, 2**64, 3 * 2**64 + 5])
+    def test_a_word_too_long_for_a_str_is_refused(self, k):
+        # The run lengths are summed before the join, which would otherwise
+        # leak OverflowError past sys.maxsize letters.
+        for m, params in ((Mat2(1, k, 0, 1), MonoidParams(1, 1)),
+                          (Mat2(1, 0, 3 * k, 1), MonoidParams(3, 2))):
+            with pytest.raises(LimitExceeded, match=f"the word has {k} letters, more than"):
+                factor(m, params)
+
+    def test_two_runs_are_summed(self):
+        # Neither run alone is past sys.maxsize, together they are.
+        half = 2**62
+        m = mul(Mat2(1, half, 0, 1), Mat2(1, 0, half, 1))
+        with pytest.raises(LimitExceeded, match=f"the word has {2 * half} letters"):
+            factor(m, MonoidParams(1, 1))
 
     @pytest.mark.parametrize("uv", [(1, 1), (2, 3), (4, 1), (1, 4), (3, 5)])
     def test_mixed_runs(self, uv):
