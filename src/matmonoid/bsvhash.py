@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InvalidParams, require_enum_size, require_int, show
 from .extremal import collision_horizon
-from .matrix import Mat2, MonoidParams
+from .matrix import Mat2, MonoidParams, _Quad
 
 __all__ = [
     "DEFAULT_COLLISION_LIMIT",
@@ -281,12 +281,10 @@ class HashState:
 
 
 @lru_cache(maxsize=64)
-def _byte_table(params: HashParams) -> tuple[tuple[int, int, int, int], ...]:
+def _byte_table(params: HashParams) -> tuple[_Quad, ...]:
     """The hash of every 8-bit word mod p, indexed by its byte value."""
-    states = [HashState(params)]
-    for _ in range(8):
-        states = [s.copy().update_bit(bit) for s in states for bit in (0, 1)]
-    return tuple((s.a, s.b, s.c, s.d) for s in states)
+    *_, level = _levels(params, 8)
+    return tuple(level)
 
 
 def hash_string(params: HashParams, bits: Iterable[int] | str) -> Digest:
@@ -299,8 +297,8 @@ def hash_string(params: HashParams, bits: Iterable[int] | str) -> Digest:
     return HashState(params)._update_digits(bits).digest()
 
 
-def bits_from_ascii01(text: str) -> list[int]:
-    """Bits from literal '0'/'1' characters; whitespace is ignored."""
+def _ascii01_digits(text: str) -> str:
+    """The '0'/'1' characters of text; whitespace is dropped, anything else refused."""
     # str.split() drops exactly the characters for which str.isspace() holds.
     digits = "".join(text.split())
     bad = digits.lstrip("01")
@@ -308,7 +306,12 @@ def bits_from_ascii01(text: str) -> list[int]:
         raise ValueError(
             f"invalid character {bad[0]!r}; expected '0', '1', or whitespace"
         )
-    return list(digits.encode("ascii").translate(_DIGITS_TO_BITS))
+    return digits
+
+
+def bits_from_ascii01(text: str) -> list[int]:
+    """Bits from literal '0'/'1' characters; whitespace is ignored."""
+    return list(_ascii01_digits(text).encode("ascii").translate(_DIGITS_TO_BITS))
 
 
 def bits_from_bytes_msb(data: bytes) -> list[int]:
@@ -352,6 +355,59 @@ def bound_n0(params: HashParams) -> int:
     return collision_horizon(params.monoid_params, params.p)
 
 
+def _levels(params: HashParams, max_len: int) -> Iterator[Iterable[_Quad]]:
+    """The digest residues of the strings of each length 0..max_len, in shortlex order.
+
+    A state's children are its string followed by 0, then by 1. Every
+    level is a list but the last, which is lazy, so that only the level
+    before it is held.
+    """
+    u, v, p = params.u, params.v, params.p
+    level: Iterable[_Quad] = [(1 % p, 0, 0, 1 % p)]
+    for length in range(1, max_len + 1):
+        yield level
+        children = (
+            key
+            for a, b, c, d in level
+            for key in (
+                ((a + u * b) % p, b, (c + u * d) % p, d),
+                (a, (b + v * a) % p, c, (d + v * c) % p),
+            )
+        )
+        level = children if length == max_len else list(children)
+    yield level
+
+
+def _distinct_fingerprints(params: HashParams, max_len: int) -> bool:
+    """True if the states of all strings of length 0..max_len hash apart.
+
+    Keeps one int per state, not the state, and stops at the first level
+    that adds fewer new values than it has strings.
+    """
+    seen: set[int] = set()
+    for length, level in enumerate(_levels(params, max_len)):
+        seen.update(map(hash, level))
+        if len(seen) < (2 << length) - 1:
+            return False
+    return True
+
+
+def _first_collision(params: HashParams, max_len: int) -> tuple[str, str] | None:
+    """The shortlex-first pair of strings of length 0..max_len with one digest."""
+    # A state's value is its string's shortlex code, (1 << length) | index,
+    # which bin(code)[3:] turns back into the string; the codes of
+    # successive levels run on without a gap.
+    seen: dict[_Quad, int] = {}
+    code = 1
+    for level in _levels(params, max_len):
+        for key in level:
+            first = seen.setdefault(key, code)
+            if first != code:
+                return bin(first)[3:], bin(code)[3:]
+            code += 1
+    return None
+
+
 def exhaustive_collision_check(
     params: HashParams, max_len: int, limit: int | None = None
 ) -> tuple[str, str] | None:
@@ -361,31 +417,19 @@ def exhaustive_collision_check(
     the first repeated digest is reported as (earlier string, current
     string), so the result is deterministic. Returns None if every one of
     the 2^{max_len+1}-1 strings hashes distinctly.
+
+    A first pass keeps only hash() of each digest, an int, instead of the
+    digest's four residues. The fingerprint is a function of the digest,
+    so if all 2^{max_len+1}-1 fingerprints differ, so do the digests, and
+    None is exact. Only when two fingerprints agree does an exact
+    shortlex scan over the digests themselves run, from the empty string
+    on; it finds the first true collision, or None when the agreement was
+    a clash of fingerprints alone.
     """
     require_int("max_len", max_len, 0)
     require_enum_size(
         f"max_len {show(max_len)} needs", max_len + 1, "- 1 states", limit, DEFAULT_COLLISION_LIMIT
     )
-    u, v, p = params.u, params.v, params.p
-    root = (1 % p, 0, 0, 1 % p)
-    # A state's value is its string's shortlex code, (1 << length) | index,
-    # which bin(code)[3:] turns back into the string.
-    seen = {root: 1}
-    level = [root]
-    for length in range(1, max_len + 1):
-        code = 1 << length
-        last = length == max_len
-        nxt = []
-        for a, b, c, d in level:
-            for key in (
-                ((a + u * b) % p, b, (c + u * d) % p, d),
-                (a, (b + v * a) % p, c, (d + v * c) % p),
-            ):
-                first = seen.setdefault(key, code)
-                if first != code:
-                    return bin(first)[3:], bin(code)[3:]
-                if not last:
-                    nxt.append(key)
-                code += 1
-        level = nxt
-    return None
+    if _distinct_fingerprints(params, max_len):
+        return None
+    return _first_collision(params, max_len)

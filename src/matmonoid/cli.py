@@ -140,7 +140,7 @@ def _hash_input(args: argparse.Namespace, params: bsvhash.HashParams) -> bsvhash
         else:
             with open(args.input, "r", encoding="ascii") as fh:
                 text = fh.read()
-        return bsvhash.hash_string(params, bsvhash.bits_from_ascii01(text))
+        return bsvhash.hash_string(params, bsvhash._ascii01_digits(text))
     if args.input == "-":
         data = sys.stdin.buffer.read()
     else:

@@ -88,10 +88,19 @@ class TestHashCommand:
     def test_bad_bit_characters(self, capsys, tmp_path):
         path = tmp_path / "bits.txt"
         path.write_text("01102")
-        code, _, err = run(capsys, [
+        code, out, err = run(capsys, [
             "hash", "--u", "2", "--v", "3", "--p", "5", "--input", str(path)])
-        assert code == 1
-        assert err.startswith("error:")
+        assert (code, out) == (1, "")
+        assert err == "error: invalid character '2'; expected '0', '1', or whitespace\n"
+
+    @pytest.mark.parametrize("text", ["", " \n\t", "1", "0 1\n1\t0\x0b1\x0c0\r1 1 0"])
+    def test_ascii01_digits_hash_like_the_bit_list(self, capsys, monkeypatch, text):
+        from matmonoid import HashParams, bits_from_ascii01, digest_hex, hash_string
+        hp = HashParams(2, 3, 101)
+        expected = digest_hex(hash_string(hp, bits_from_ascii01(text)), hp)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, ["hash", "--u", "2", "--v", "3", "--p", "101"])
+        assert (code, out, err) == (0, expected + "\n", "")
 
 
 class TestBoundCommand:

@@ -1,7 +1,9 @@
 """Shear-product hashing into SL2(F_p): primality gate, streaming state,
 digest serialization, and the exhaustive collision search."""
+import builtins
 import random
 import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -35,6 +37,11 @@ HP235 = HashParams(2, 3, 5)
 BIG_PRIME = 2**61 - 1
 
 bit_lists = st.lists(st.integers(0, 1), max_size=48)
+
+# Small moduli, where collisions come early, for the exhaustive search.
+SMALL_GRID = [(u, v, p) for u in (1, 2, 3) for v in (1, 2, 3) for p in (2, 3, 5, 7, 11, 101)]
+# Shear pairs with u = v, u < v, u > v, u or v = 1 and a large product.
+HORIZON_PAIRS = [(1, 1), (1, 6), (6, 1), (2, 3), (3, 2), (5, 7), (6, 6)]
 
 # The kernel's moduli: tiny (every byte-table entry reduced), small, and
 # multi-word primes where the table entries stay unreduced.
@@ -372,6 +379,14 @@ class TestByteTableKernel:
             with pytest.raises(ValueError, match=re.escape(expected)):
                 hash_string(hp, form)
 
+    @pytest.mark.parametrize("hp", [HashParams(1, 1, 2), HP235, HashParams(5, 7, 101),
+                                    HashParams(2, 3, 2**127 - 1)], ids=str)
+    def test_table_matches_the_per_bit_construction(self, hp):
+        states = [HashState(hp)]
+        for _ in range(8):
+            states = [s.copy().update_bit(bit) for s in states for bit in (0, 1)]
+        assert bsvhash._byte_table(hp) == tuple((s.a, s.b, s.c, s.d) for s in states)
+
     def test_generators_and_bytes_take_the_per_bit_path(self):
         bits = [0, 1, 1, 0, 0, 1, 0, 1, 1]
         ref = HashState(HP235)
@@ -481,7 +496,7 @@ class TestBoundN0:
                                    2**127 - 1, 2**521 - 1, PRIME_2048, 2**2203 - 1],
                              ids=lambda p: str(p) if p < 2**32 else f"{p.bit_length()}-bit")
     def test_agrees_with_the_search_on_every_prime_here(self, p):
-        for u, v in [(1, 1), (1, 6), (6, 1), (2, 3), (3, 2), (5, 7), (6, 6)]:
+        for u, v in HORIZON_PAIRS:
             assert bound_n0(HashParams(u, v, p)) == \
                 collision_horizon_by_search(MonoidParams(u, v), p), (u, v)
 
@@ -525,8 +540,7 @@ class TestExhaustiveCollisionCheck:
         with pytest.raises(InvalidParams):
             exhaustive_collision_check(HP235, -1)
 
-    @pytest.mark.parametrize("u,v,p", [
-        (u, v, p) for u in (1, 2, 3) for v in (1, 2, 3) for p in (2, 3, 5, 7, 11, 101)])
+    @pytest.mark.parametrize("u,v,p", SMALL_GRID)
     def test_matches_the_string_keyed_search(self, u, v, p):
         hp = HashParams(u, v, p)
         for max_len in range(11):
@@ -534,3 +548,44 @@ class TestExhaustiveCollisionCheck:
                 string_keyed_collision_search(hp, max_len)
         if (u, v, p) == (2, 3, 5):
             assert string_keyed_collision_search(hp, 5) == ("", "00000")
+
+    # hash() is looked up in the module first, so a test can swap in a
+    # fingerprint that clashes far more often than the builtin one.
+    @pytest.mark.parametrize("fingerprint", [lambda s: 0, lambda s: builtins.hash(s) & 15],
+                             ids=["constant", "four-bit"])
+    @pytest.mark.parametrize("u,v,p", SMALL_GRID)
+    def test_fingerprint_clashes_fall_back_to_the_exact_scan(self, monkeypatch, fingerprint, u, v, p):
+        monkeypatch.setattr(bsvhash, "hash", fingerprint, raising=False)
+        hp = HashParams(u, v, p)
+        assert not bsvhash._distinct_fingerprints(hp, 4)
+        for max_len in range(11):
+            assert exhaustive_collision_check(hp, max_len) == \
+                string_keyed_collision_search(hp, max_len)
+
+    @pytest.mark.parametrize("p", [BIG_PRIME, 2**127 - 1, 2**521 - 1, PRIME_2048],
+                             ids=lambda p: f"{p.bit_length()}-bit")
+    def test_no_collision_below_the_horizon_at_large_primes(self, p):
+        for u, v in HORIZON_PAIRS:
+            hp = HashParams(u, v, p)
+            assert bound_n0(hp) >= 12
+            assert string_keyed_collision_search(hp, 12) is None
+            for max_len in range(13):
+                assert exhaustive_collision_check(hp, max_len) is None
+
+    def test_fingerprint_pass_peaks_below_the_exact_scan(self):
+        hp = HashParams(1, 1, 2**127 - 1)
+
+        def peak(search):
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert search(hp, 14) is None
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        assert peak(exhaustive_collision_check) < 0.9 * peak(bsvhash._first_collision)
