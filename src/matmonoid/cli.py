@@ -8,12 +8,11 @@ failed verification), 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
 from . import __version__, bsvhash, extremal, suites, tree
-from .errors import MatMonoidError
+from .errors import MatMonoidError, decimal_str
 from .matrix import IDENTITY, MonoidParams
 
 
@@ -113,26 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _no_digit_cap():
-    """Lift CPython's int-to-decimal digit cap, then restore it.
-
-    Only for integers the library computed: the cap guards against
-    quadratic-time conversion of untrusted input, and exact answers past
-    4300 digits are what mu and witness are for.
-    """
-    get_cap = getattr(sys, "get_int_max_str_digits", None)
-    if get_cap is None:  # Python releases without the cap
-        yield
-        return
-    cap = get_cap()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(cap)
-
-
 def _hash_input(args: argparse.Namespace, params: bsvhash.HashParams) -> bsvhash.Digest:
     if args.bits == "ascii01":
         if args.input == "-":
@@ -173,9 +152,7 @@ def _cmd_mu(args: argparse.Namespace) -> int:
         value = extremal.witness(params, args.depth).value
     else:
         value = extremal.mu_depth(params, args.depth)
-    with _no_digit_cap():
-        text = str(value)
-    print(text)
+    print(decimal_str(value))
     return 0
 
 
@@ -183,23 +160,19 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     params = MonoidParams(args.u, args.v)
     w = extremal.witness(params, args.depth)
     # Format everything before printing, so a failure prints nothing.
-    with _no_digit_cap():
-        if args.format == "json":
-            text = json.dumps(
-                {
-                    "word": w.word,
-                    "matrix": w.matrix.to_json(),
-                    "position": list(w.position),
-                    "value": str(w.value),
-                }
-            )
-        else:
-            text = (
-                f"word: {w.word}\n"
-                f"matrix: {json.dumps(w.matrix.to_json())}\n"
-                f"entry: ({w.position[0]},{w.position[1]})\n"
-                f"value: {w.value}"
-            )
+    value = decimal_str(w.value)
+    matrix = w.matrix.to_json()
+    if args.format == "json":
+        text = json.dumps(
+            {"word": w.word, "matrix": matrix, "position": list(w.position), "value": value}
+        )
+    else:
+        text = (
+            f"word: {w.word}\n"
+            f"matrix: {json.dumps(matrix)}\n"
+            f"entry: ({w.position[0]},{w.position[1]})\n"
+            f"value: {value}"
+        )
     print(text)
     return 0
 

@@ -1,7 +1,9 @@
-"""Exception types, the value renderer, the shared integer check, and the enumeration cap."""
+"""Exception types, the shared integer check, the enumeration cap, and the two
+renderers that know the int digit cap: show for messages, decimal_str for answers."""
 from __future__ import annotations
 
 import os
+import sys
 
 __all__ = [
     "IndexOutOfRange",
@@ -55,6 +57,21 @@ def show(value: object) -> str:
             raise
         sign = "negative " if value < 0 else ""
         return f"<{sign}{value.bit_length()}-bit integer>"
+
+
+def decimal_str(value: int) -> str:
+    """str(value) for an exact answer at any size. The digit cap guards untrusted
+    input, not computed answers: only if str refuses is the cap lifted for this
+    one conversion, then restored. The lift is process-wide while the call runs."""
+    try:
+        return str(value)
+    except ValueError:
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(cap)
 
 
 def require_int(name: str, value: object, low: int) -> None:

@@ -118,7 +118,9 @@ class AlphaGammaPair:
 
 def _require_start_column(a: int, c: int) -> None:
     if type(a) is not int or type(c) is not int or a < 0 or c < 0 or a == c == 0:
-        raise InvalidParams(f"start column must be nonnegative and nonzero, got ({a!r}, {c!r})")
+        raise InvalidParams(
+            f"start column must be nonnegative and nonzero, got ({show(a)}, {show(c)})"
+        )
 
 
 def alpha_gamma(params: MonoidParams, a: int, c: int, n: int) -> AlphaGammaPair:
@@ -344,8 +346,8 @@ def witness(params: MonoidParams, n: int) -> Witness:
         value = m.rows()[position[0] - 1][position[1] - 1]
     if value != expected or mu(m) != expected:
         raise WitnessMismatch(
-            f"word {word} for u={u}, v={v}, depth {n}: entry {position} is "
-            f"{value}, matrix max is {mu(m)}, but the depth maximum is {expected}"
+            f"word {word} for u={u}, v={v}, depth {n}: entry {position} is {show(value)}, "
+            f"matrix max is {show(mu(m))}, but the depth maximum is {show(expected)}"
         )
     return Witness(word, m, position, value)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import LimitExceeded, NotInMonoid, require_int, show
+from .errors import LimitExceeded, NotInMonoid, decimal_str, require_int, show
 
 __all__ = [
     "MonoidParams",
@@ -83,8 +83,9 @@ class Mat2:
         return mul(self, other)
 
     def to_json(self) -> list[list[str]]:
-        """JSON-safe form: decimal strings keep arbitrary precision intact."""
-        return [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]
+        """JSON-safe form: exact decimal strings at any size, past the digit cap too."""
+        top = [decimal_str(self.a), decimal_str(self.b)]
+        return [top, [decimal_str(self.c), decimal_str(self.d)]]
 
     @classmethod
     def from_json(cls, rows: list[list[str]]) -> "Mat2":

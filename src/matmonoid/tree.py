@@ -70,11 +70,12 @@ class TreeRow:
     cells: tuple[Mat2, ...]
 
     def __post_init__(self) -> None:
-        if len(self.cells) != 1 << self.depth:
-            raise ValueError(
-                f"row at depth {self.depth} must have {1 << self.depth} cells, "
-                f"got {len(self.cells)}"
-            )
+        _require_depth(self.depth)
+        got = len(self.cells)
+        # Build 2^depth only up to twice the cells given: a huge depth would take its memory.
+        want = 1 << self.depth if self.depth <= got.bit_length() else f"2^{self.depth}"
+        if got != want:
+            raise ValueError(f"row at depth {self.depth} must have {want} cells, got {got}")
 
     def cell(self, i: int) -> Mat2:
         """1-indexed access, i in {1, ..., 2^depth}."""

@@ -1,6 +1,7 @@
 """The package's public names, the integer check every parameter shares,
 the enumeration cap every brute-force search shares, how error messages
-print huge integers, and running with the standard library alone."""
+and exact answers print huge integers, and running with the standard
+library alone."""
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from matmonoid import (
     f_poly,
     factor,
     h_poly,
+    is_probable_prime,
     lucas,
     matrix,
     mu_depth,
@@ -34,6 +36,7 @@ from matmonoid import (
     polydom,
     row,
     tree,
+    validate_word,
     witness,
 )
 from matmonoid.errors import (
@@ -165,6 +168,8 @@ class TestRequireEnumSize:
     pytest.param(lambda: BiPolyN.constant(1).shift(1.5, 0), InvalidParams, id="BiPolyN.shift-float"),
     pytest.param(lambda: BiPolyN.constant(1).shift(True, 0), InvalidParams, id="BiPolyN.shift-bool"),
     pytest.param(lambda: BiPolyN.constant(1).shift(0, 2.0), InvalidParams, id="BiPolyN.shift-dy"),
+    pytest.param(lambda: is_probable_prime(1.5), InvalidParams, id="is_probable_prime"),
+    pytest.param(lambda: validate_word(None), ValueError, id="validate_word"),
 ])
 def test_bool_and_non_integer_parameters_are_rejected(call, error):
     with pytest.raises(error):
@@ -190,6 +195,10 @@ needs_digit_cap = pytest.mark.skipif(
         id="collision_check-limit",
     ),
     pytest.param(lambda: factor(Mat2(HUGE, 1, 1, 1), P23), NotInMonoid, id="factor"),
+    pytest.param(lambda: alpha_gamma(P23, HUGE, -1, 3), InvalidParams, id="alpha_gamma"),
+    pytest.param(
+        lambda: closed_form_params(P23, HUGE, -1), InvalidParams, id="closed_form_params"
+    ),
 ])
 def test_huge_integers_in_messages_keep_the_typed_error(call, error):
     with pytest.raises(error) as exc:
@@ -208,6 +217,26 @@ class TestShow:
     def test_huge_ints_print_as_their_bit_length(self):
         assert show(HUGE) == "<16610-bit integer>"
         assert show(-HUGE) == "<negative 16610-bit integer>"
+
+
+class TestDecimalStr:
+    @needs_digit_cap
+    @pytest.mark.parametrize("cap", [None, 640, 0])
+    def test_to_json_is_exact_past_the_cap_and_keeps_the_callers_cap(self, cap):
+        m = witness(P23, 20001).matrix
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [[str(m.a), str(m.b)], [str(m.c), str(m.d)]]
+            sys.set_int_max_str_digits(before if cap is None else cap)
+            caller = sys.get_int_max_str_digits()
+            got = m.to_json()
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert got == expected
+        assert max(map(len, sum(expected, []))) > 4300
+        assert after == caller
 
 
 def test_verify_runs_without_mpmath():

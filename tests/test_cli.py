@@ -69,6 +69,17 @@ class TestHashCommand:
         expected = hash_string(HashParams(2, 3, 5), [1, 0, 1, 0, 0, 1, 0, 1])
         assert json.loads(out) == expected.to_json()
 
+    def test_bytes_input_from_stdin(self, capsys, monkeypatch):
+        payload = bytes(range(256))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload)))
+        code, out, _ = run(capsys, [
+            "hash", "--u", "2", "--v", "3", "--p", "101", "--bits", "bytes-msb",
+            "--format", "json"])
+        assert code == 0
+        from matmonoid import HashParams, HashState
+        expected = HashState(HashParams(2, 3, 101)).update_bytes(payload).digest()
+        assert json.loads(out) == expected.to_json()
+
     def test_composite_modulus_is_a_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bits.txt"
         path.write_text("01100")
@@ -306,6 +317,8 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "everything"])
         assert exc.value.code == 2
+        with pytest.raises(ValueError, match="unknown suite 'nope'"):
+            suites.run_suite("nope", 10)
 
 
 class TestUsageErrors:

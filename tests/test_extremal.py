@@ -613,5 +613,6 @@ class TestWitnessMismatchType:
         # witness compares its matrix with mu_depth; a wrong maximum must raise.
         true_maximum = extremal.mu_depth
         monkeypatch.setattr(extremal, "mu_depth", lambda params, n: true_maximum(params, n) + 1)
-        with pytest.raises(WitnessMismatch):
-            witness(P23, 301)
+        for n in (301, 20001):  # 20001: every value is past the 4300-digit cap
+            with pytest.raises(WitnessMismatch):
+                witness(P23, n)

@@ -95,8 +95,16 @@ class TestTreeRow:
             r.cell(5)
 
     def test_cell_count_is_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^row at depth 1 must have 2 cells, got 1$"):
             TreeRow(1, (IDENTITY,))
+        # 2^depth is neither built nor printed past the cells given.
+        for depth in (3, 20000, 10**12):
+            with pytest.raises(ValueError, match=rf"^row at depth {depth} must have 2\^{depth} "):
+                TreeRow(depth, ())
+        with pytest.raises(IndexOutOfRange):
+            TreeRow(-1, ())
+        with pytest.raises(InvalidParams):
+            TreeRow(1.5, ())
 
     def test_negative_depth(self):
         with pytest.raises(IndexOutOfRange):
@@ -207,6 +215,10 @@ class TestClassify:
     def test_identity_is_neither(self):
         assert classify(IDENTITY, P23) is DominanceClass.NEITHER
         assert classify(IDENTITY, MonoidParams(1, 1)) is DominanceClass.NEITHER
+
+    def test_zero_matrix_is_both(self):
+        # BOTH needs a determinant other than 1, so only a non-element reaches it.
+        assert classify(Mat2(0, 0, 0, 0), P23) is DominanceClass.BOTH
 
     def test_generators(self):
         assert classify(lmat(P23), P23) is DominanceClass.U_LOWER_DOMINANT
