@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Iterable, Iterator
 
 from .errors import InvalidParams, require_enum_size, require_int, show
-from .extremal import collision_horizon
+from .extremal import _ladder, collision_horizon
 from .matrix import Mat2, MonoidParams, _Quad
 
 __all__ = [
@@ -87,28 +87,11 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _lucas_mod(P: int, m: int, n: int) -> tuple[int, int]:
-    """(U_m, V_m) mod the odd n for x^2 - Px + 1.
-
-    The doubling ladder of extremal.lucas, reduced mod n; its exact
-    half-sums become (x + n)/2 on an odd residue x. A separate loop, so
-    that the exact ladder pays no per-step test for the modulus.
-    """
-    U, V = 0, 2
-    D = P * P - 4
-    for k in range(m.bit_length() - 1, -1, -1):
-        U, V = U * V % n, (V * V - 2) % n
-        if m >> k & 1:
-            U, V = P * U + V, D * U + P * V
-            U, V = (U + (U & 1) * n) // 2 % n, (V + (V & 1) * n) // 2 % n
-    return U, V
-
-
 def _extra_strong_lucas(n: int) -> bool:
     """Baillie's extra strong Lucas probable-prime test for odd n > 1.
 
     Q = 1 and P is the first value from 3 up with Jacobi(P^2-4, n) = -1,
-    so the chain is the ladder of extremal.lucas reduced mod n. A
+    so the chain is extremal._ladder, the ladder of lucas, reduced mod n. A
     perfect square has no such P and is refused before the search, which
     therefore ends; a Jacobi value of 0 while n does not divide P^2-4
     exposes a factor. With n+1 = d*2^s, d odd, n passes when U_d = 0 and
@@ -122,7 +105,7 @@ def _extra_strong_lucas(n: int) -> bool:
             return False
         P += 1
     d, s = _split_two(n + 1)
-    U, V = _lucas_mod(P, d, n)
+    U, V = _ladder(P, d, n)
     if U == 0 and V in (2, n - 2):
         return True
     for _ in range(s - 1):

@@ -90,15 +90,24 @@ def lucas(P: int, m: int) -> LucasPair:
     return LucasPair(P, m, *_ladder(P, m))
 
 
-def _ladder(P: int, m: int) -> tuple[int, int]:
-    """The ladder of lucas, unchecked and unwrapped: (U_m, V_m) for the
-    callers in this module, which pass a valid P and m."""
+def _ladder(P: int, m: int, n: int = 0) -> tuple[int, int]:
+    """The ladder of lucas, unchecked and unwrapped: (U_m, V_m) for callers
+    that pass a valid P and m; reduced mod n for an odd n > 1, exact for n = 0.
+
+    Mod n a half-sum's numerator x may be odd although its exact value is
+    even; as n is odd, x + n is then even, and (x + n)/2 is the half-sum mod n.
+    """
     U, V = 0, 2
     D = P * P - 4
     for k in range(m.bit_length() - 1, -1, -1):
         U, V = U * V, V * V - 2
         if m >> k & 1:
-            U, V = (P * U + V) // 2, (D * U + P * V) // 2
+            U, V = P * U + V, D * U + P * V
+            if n:
+                U, V = U + (U & 1) * n, V + (V & 1) * n
+            U, V = U >> 1, V >> 1
+        if n:
+            U, V = U % n, V % n
     return U, V
 
 

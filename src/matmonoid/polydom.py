@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import require_int
+from .errors import decimal_str, require_int
 from .matrix import validate_word
 
 __all__ = [
@@ -98,8 +98,7 @@ class PolyN:
 
     def __call__(self, r: int) -> int:
         """Exact evaluation at a nonnegative integer."""
-        if r < 0:
-            raise ValueError("evaluation point must be nonnegative")
+        require_int("evaluation point", r, 0)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * r + c
@@ -115,7 +114,8 @@ class PolyN:
         return tuple(reversed(out))
 
     def __repr__(self) -> str:
-        return f"PolyN({self.coeffs!r})"
+        body = ", ".join(map(decimal_str, self.coeffs))
+        return f"PolyN(({body}{',' if len(self.coeffs) == 1 else ''}))"
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -126,10 +126,10 @@ class PolyN:
             if not c:
                 continue
             if i == 0:
-                parts.append(str(c))
+                parts.append(decimal_str(c))
             else:
                 xi = "x" if i == 1 else f"x^{i}"
-                parts.append(xi if c == 1 else f"{c}{xi}")
+                parts.append(xi if c == 1 else decimal_str(c) + xi)
         return " + ".join(parts)
 
 
@@ -313,4 +313,7 @@ class BiPolyN:
         return iter(sorted(self.coeffs.items()))
 
     def __repr__(self) -> str:
-        return f"BiPolyN({dict(sorted(self.coeffs.items()))!r})"
+        body = ", ".join(
+            f"({decimal_str(i)}, {decimal_str(j)}): {decimal_str(c)}" for (i, j), c in self.terms()
+        )
+        return f"BiPolyN({{{body}}})"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import bsvhash, extremal, polydom, tree
-from .errors import InvalidParams, WitnessMismatch, show
+from .errors import InvalidParams, WitnessMismatch, require_int, show
 from .matrix import IDENTITY, MonoidParams, mu, word_to_matrix
 from .polydom import ONE, X, ZERO, PolyN, dominates
 
@@ -649,10 +649,12 @@ MAX_DEPTH = 300
 def run_suite(name: str, max_depth: int) -> list[CheckResult]:
     """Run one named suite (or 'all') and return its check results.
 
-    max_depth above MAX_DEPTH raises InvalidParams before any check runs.
+    A max_depth that is not a nonnegative int, or is above MAX_DEPTH, raises
+    InvalidParams before any check runs.
     """
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    require_int("max_depth", max_depth, 0)
     if max_depth > MAX_DEPTH:
         raise InvalidParams(f"--max-depth must be at most {MAX_DEPTH}, got {show(max_depth)}")
     results = []

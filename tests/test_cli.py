@@ -313,6 +313,12 @@ class TestVerifyCommand:
         with pytest.raises(InvalidParams, match=f"--max-depth must be at most {suites.MAX_DEPTH}"):
             suites.run_suite(name, depth)
 
+    @pytest.mark.parametrize("depth", [1.5, None, -3, True, "10"])
+    @pytest.mark.parametrize("name", ["formulas", "all"])
+    def test_run_suite_refuses_a_depth_that_is_not_a_nonnegative_int(self, name, depth):
+        with pytest.raises(InvalidParams, match="max_depth must be a nonnegative integer"):
+            suites.run_suite(name, depth)
+
     def test_unknown_suite_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "everything"])

@@ -157,6 +157,9 @@ def around_powers_of_two(ks):
 GRID_DEPTHS = sorted({*range(3001), *around_powers_of_two(range(1, 15))})
 DEEP_DEPTHS = around_powers_of_two(range(15, 21))
 
+# Odd moduli for the ladder reduced mod n: tiny, composite, and multi-word primes.
+LADDER_MODULI = (3, 5, 7, 9, 15, 101, 2**61 - 1, 2**127 - 1, 2**521 - 1)
+
 
 class TestLucas:
     def test_base_cases(self):
@@ -189,6 +192,16 @@ class TestLucas:
     def test_pell_identity(self, P, m):
         pair = lucas(P, m)
         assert pair.V**2 - (P * P - 4) * pair.U**2 == 4
+
+    @pytest.mark.parametrize("P", range(3, 13))
+    def test_ladder_mod_n_reduces_the_exact_ladder(self, P):
+        # 2^15..2^20 cost up to seconds per exact ladder, so they run on one
+        # odd and one even P, the two parity cases of the half-sums.
+        ks = range(1, 21 if P in (3, 4) else 15)
+        for m in [*range(201), *(2**k + d for k in ks for d in (-1, 1))]:
+            U, V = extremal._ladder(P, m)
+            for n in LADDER_MODULI:
+                assert extremal._ladder(P, m, n) == (U % n, V % n), (P, m, n)
 
     @pytest.mark.parametrize("P,m", [(2, 1), (1, 0), (3, -1)])
     def test_domain_validation(self, P, m):

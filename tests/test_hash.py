@@ -29,7 +29,8 @@ from matmonoid import (
     word_to_matrix,
 )
 from matmonoid import bsvhash
-from matmonoid.bsvhash import _extra_strong_lucas, _miller_rabin_witness, _split_two
+from matmonoid.bsvhash import _extra_strong_lucas, _jacobi, _miller_rabin_witness, _split_two
+from matmonoid.extremal import _ladder
 from test_acceptance import PRIME_2048
 from test_extremal import collision_horizon_by_search
 
@@ -175,7 +176,32 @@ EXTRA_STRONG_LUCAS_PSEUDOPRIMES = {
 }
 
 
+def lucas_mod(P, m, n):
+    """(U_m, V_m) mod the odd n for x^2 - Px + 1: the separate mod-n loop
+    that _ladder(P, m, n) replaced, reducing after every operation."""
+    U, V = 0, 2
+    D = P * P - 4
+    for k in range(m.bit_length() - 1, -1, -1):
+        U, V = U * V % n, (V * V - 2) % n
+        if m >> k & 1:
+            U, V = P * U + V, D * U + P * V
+            U, V = (U + (U & 1) * n) // 2 % n, (V + (V & 1) * n) // 2 % n
+    return U, V
+
+
 class TestBailliePSW:
+    def test_ladder_matches_the_separate_mod_n_loop(self):
+        # The Lucas leg's inputs past the deterministic range: the RFC 3526
+        # prime, 2^521 - 1, and the 1024-bit semiprimes of test_agrees_with_sympy.
+        rng = random.Random(1024)
+        big = [(rng.getrandbits(1024) | 1 << 1023) + k for k in (273, 242, 221, 158, 982, 365)]
+        for n in (PRIME_2048, 2**521 - 1, *(a * b for a, b in zip(big[::2], big[1::2]))):
+            P = 3
+            while _jacobi(P * P - 4, n) != -1:
+                P += 1
+            d, _ = _split_two(n + 1)
+            assert _ladder(P, d, n) == lucas_mod(P, d, n), (P, n)
+
     def test_lucas_leg_passes_primes_and_its_pseudoprimes(self):
         limit = 2 * 10**5
         prime = _prime_flags(limit)

@@ -1,5 +1,7 @@
 """Natural-coefficient polynomials, the dominance order, and the four
 binomial families tied to left columns of alternating shear words."""
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from matmonoid import (
     X,
     ZERO,
     BiPolyN,
+    InvalidParams,
     MonoidParams,
     PolyN,
     dominates,
@@ -22,6 +25,11 @@ from matmonoid import (
 )
 
 polys = st.lists(st.integers(0, 9), max_size=9).map(PolyN)
+
+HUGE = 10**5000  # past CPython's 4300-digit int-to-str limit
+
+needs_digit_cap = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit cap in this Python")
 
 
 @st.composite
@@ -44,6 +52,19 @@ def families_by_recurrence(n_max):
         hs.append(hs[n] + hs[n].shift(1) + is_[n])
         is_.append(hs[n].shift(1) + is_[n])
     return fs, gs, hs, is_
+
+
+def assert_renders_past_the_cap(render, reference):
+    """render() equals the reference built with the digit cap lifted, and
+    leaves the caller's cap as it was."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = reference()
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert render() == expected
+    assert sys.get_int_max_str_digits() == cap
 
 
 class TestPolyN:
@@ -94,6 +115,9 @@ class TestPolyN:
         assert ZERO(7) == 0
         with pytest.raises(ValueError):
             f(-1)
+        for r in ("a", 1.5, None, True, -1):
+            with pytest.raises(InvalidParams, match="evaluation point"):
+                f(r)
 
     def test_suffix_sums(self):
         assert PolyN((1, 2, 1)).suffix_sums() == (4, 3, 1)
@@ -102,6 +126,18 @@ class TestPolyN:
     def test_str(self):
         assert str(ZERO) == "0"
         assert str(PolyN((1, 0, 2))) == "2x^2 + 1"
+
+    @given(polys)
+    def test_repr_is_the_tuple_form(self, f):
+        assert repr(f) == f"PolyN({f.coeffs!r})"
+
+    @needs_digit_cap
+    @pytest.mark.parametrize("render,reference", [
+        pytest.param(str, lambda: f"x + {HUGE}", id="PolyN-str"),
+        pytest.param(repr, lambda: f"PolyN({(HUGE, 1)!r})", id="PolyN-repr"),
+    ])
+    def test_text_past_the_digit_cap(self, render, reference):
+        assert_renders_past_the_cap(lambda: render(PolyN((HUGE, 1))), reference)
 
     @given(polys, polys)
     def test_add_commutes(self, f, g):
@@ -314,6 +350,15 @@ class TestBiPolyN:
         assert f(2, 3) == 7
         assert f.total_degree == 2
         assert BiPolyN().total_degree == -1
+
+    def test_repr_is_the_sorted_dict_form(self):
+        for f in (BiPolyN(), BiPolyN({(1, 1): 1, (0, 0): 1, (0, 2): 5})):
+            assert repr(f) == f"BiPolyN({dict(sorted(f.coeffs.items()))!r})"
+
+    @needs_digit_cap
+    def test_repr_past_the_digit_cap(self):
+        assert_renders_past_the_cap(
+            lambda: repr(BiPolyN({(0, 0): HUGE})), lambda: "BiPolyN(" + repr({(0, 0): HUGE}) + ")")
 
     def test_terms_are_sorted(self):
         f = BiPolyN({(1, 1): 1, (0, 0): 1, (0, 2): 5})
