@@ -8,11 +8,11 @@ the horizon comes straight from the exact maximal-entry sequence.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParams, require_enum_size, require_int, show
 from .extremal import _ladder, collision_horizon
@@ -39,8 +39,6 @@ __all__ = [
 # the same environment knob as row enumeration.
 DEFAULT_COLLISION_LIMIT = 2**22
 
-# The bits of each byte value, most significant first.
-_BYTE_BITS = tuple(tuple(byte >> k & 1 for k in range(7, -1, -1)) for byte in range(256))
 # Bit values 0/1 to the digit characters "0"/"1", and back.
 _BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -175,6 +173,13 @@ class Digest:
     to_json = Mat2.to_json
 
 
+def _as_bytes(data: Iterable[int]) -> bytes:
+    """bytes(data), refusing values outside range(0, 256) and an int (not a length here)."""
+    if isinstance(data, int):
+        raise TypeError(f"expected bytes or an iterable of ints, got {show(data)}")
+    return bytes(data)
+
+
 class HashState:
     """Running product state; feed bits, then read the digest.
 
@@ -226,6 +231,7 @@ class HashState:
         homomorphism, so each byte's eight shear steps are one
         precomputed matrix, applied as a single 2x2 product mod p.
         """
+        data = _as_bytes(data)
         p = self.params.p
         a, b, c, d = self.a, self.b, self.c, self.d
         for e, f, g, h in map(_byte_table(self.params).__getitem__, data):
@@ -255,12 +261,7 @@ class HashState:
     def digest(self) -> Digest:
         return Digest(self.a, self.b, self.c, self.d)
 
-    def copy(self) -> "HashState":
-        other = HashState.__new__(HashState)
-        other.params = self.params
-        other.a, other.b, other.c, other.d = self.a, self.b, self.c, self.d
-        other.bits_consumed = self.bits_consumed
-        return other
+    copy = copy.copy  # every field is an int or the frozen params
 
 
 @lru_cache(maxsize=64)
@@ -299,7 +300,17 @@ def bits_from_ascii01(text: str) -> list[int]:
 
 def bits_from_bytes_msb(data: bytes) -> list[int]:
     """Bits of a byte string, most significant bit of each byte first."""
-    return list(chain.from_iterable(map(_BYTE_BITS.__getitem__, data)))
+    # The leading 1 keeps the leading zero bits; bin() has no digit cap.
+    digits = bin(int.from_bytes(b"\x01" + _as_bytes(data), "big"))[3:]
+    return list(digits.encode("ascii").translate(_DIGITS_TO_BITS))
+
+
+def _residues(fields: Sequence[int], p: int) -> Sequence[int]:
+    """fields, after checking that each is an int (not a bool) in [0, p)."""
+    for x in fields:
+        if type(x) is not int or not 0 <= x < p:
+            raise ValueError(f"residue {show(x)} out of range for p={show(p)}")
+    return fields
 
 
 def serialize(d: Digest, params: HashParams) -> bytes:
@@ -308,19 +319,16 @@ def serialize(d: Digest, params: HashParams) -> bytes:
     Injective for a fixed p, so digest comparison can be done on bytes.
     """
     w = params.byte_width
-    return b"".join(x.to_bytes(w, "big") for x in (d.a, d.b, d.c, d.d))
+    return b"".join(x.to_bytes(w, "big") for x in _residues((d.a, d.b, d.c, d.d), params.p))
 
 
 def parse(data: bytes, params: HashParams) -> Digest:
     """Inverse of serialize; validates length and residue range."""
     w = params.byte_width
     if len(data) != 4 * w:
-        raise ValueError(f"digest must be {4 * w} bytes for p={params.p}, got {len(data)}")
+        raise ValueError(f"digest must be {4 * w} bytes for p={show(params.p)}, got {len(data)}")
     fields = [int.from_bytes(data[i * w : (i + 1) * w], "big") for i in range(4)]
-    for x in fields:
-        if x >= params.p:
-            raise ValueError(f"residue {x} out of range for p={params.p}")
-    return Digest(*fields)
+    return Digest(*_residues(fields, params.p))
 
 
 def digest_hex(d: Digest, params: HashParams) -> str:

@@ -91,12 +91,9 @@ def lucas(P: int, m: int) -> LucasPair:
 
 
 def _ladder(P: int, m: int, n: int = 0) -> tuple[int, int]:
-    """The ladder of lucas, unchecked and unwrapped: (U_m, V_m) for callers
-    that pass a valid P and m; reduced mod n for an odd n > 1, exact for n = 0.
-
-    Mod n a half-sum's numerator x may be odd although its exact value is
-    even; as n is odd, x + n is then even, and (x + n)/2 is the half-sum mod n.
-    """
+    """The ladder of lucas, unchecked: (U_m, V_m) mod an odd n > 1, exact for
+    n = 0. Mod n a half-sum's numerator x may be odd although its exact value
+    is even; as n is odd, x + n is then even, and (x + n)/2 is the half-sum."""
     U, V = 0, 2
     D = P * P - 4
     for k in range(m.bit_length() - 1, -1, -1):
@@ -323,36 +320,30 @@ def witness(params: MonoidParams, n: int) -> Witness:
 
     Odd n = 2k+1 uses the alternating word ending on the larger shear:
     (LR)^k L at entry (2,1) when u >= v, else (RL)^k R at (1,2). Even
-    n = 2k+2 uses (RL)^{k+1} with the max entry located by scanning when
-    min(u,v) > 1, and the doubled-head word L(LR)^k L at (2,1) (or its
-    mirror R(RL)^k R at (1,2)) when min(u,v) = 1. The constructed value
-    is always checked against mu_depth; a mismatch raises rather than
-    returning a wrong witness.
+    n = 2k+2 uses L(LR)^k L at (2,1) (or its mirror R(RL)^k R at (1,2))
+    when min(u,v) = 1, else (RL)^{k+1} = M^{k+1} at (1,1): M = R_v L_u =
+    [[1+uv, v], [u, 1]] has M^j = U_j*M - U_{j-1}*I (Cayley-Hamilton,
+    P = 2+uv), and as U_{j-1} < U_j the (1,1) entry (1+uv)*U_j - U_{j-1}
+    exceeds v*U_j, u*U_j and U_j - U_{j-1}. The value is always checked
+    against mu_depth; a mismatch raises rather than returning a wrong witness.
     """
     require_int("witness depth", n, 1)
     u, v = params.u, params.v
-    position: tuple[int, int] | None
+    k = (n - 1) // 2
     if n % 2 == 1:
-        k = (n - 1) // 2
         if u >= v:
             word, position = "LR" * k + "L", (2, 1)
         else:
             word, position = "RL" * k + "R", (1, 2)
+    elif params.s > 1:
+        word, position = "RL" * (k + 1), (1, 1)
+    elif u >= v:
+        word, position = "L" + "LR" * k + "L", (2, 1)
     else:
-        k = (n - 2) // 2
-        if params.s > 1:
-            word, position = "RL" * (k + 1), None
-        elif u >= v:
-            word, position = "L" + "LR" * k + "L", (2, 1)
-        else:
-            word, position = "R" + "RL" * k + "R", (1, 2)
+        word, position = "R" + "RL" * k + "R", (1, 2)
     m = word_to_matrix(word, params)
     expected = mu_depth(params, n)
-    if position is None:
-        entries = ((m.a, (1, 1)), (m.b, (1, 2)), (m.c, (2, 1)), (m.d, (2, 2)))
-        value, position = max(entries, key=lambda e: e[0])
-    else:
-        value = m.rows()[position[0] - 1][position[1] - 1]
+    value = m.rows()[position[0] - 1][position[1] - 1]
     if value != expected or mu(m) != expected:
         raise WitnessMismatch(
             f"word {word} for u={u}, v={v}, depth {n}: entry {position} is {show(value)}, "

@@ -160,8 +160,6 @@ def _binom(n: int, k: int) -> int:
 
 def _from_terms(terms: Iterable[tuple[int, int]]) -> PolyN:
     pairs = [(p, c) for p, c in terms if c]
-    if not pairs:
-        return ZERO
     out = [0] * (max(p for p, _ in pairs) + 1)
     for p, c in pairs:
         out[p] += c
@@ -302,6 +300,8 @@ class BiPolyN:
         return BiPolyN({(j, i): c for (i, j), c in self.coeffs.items()})
 
     def __call__(self, x: int, y: int) -> int:
+        require_int("evaluation point", x, 0)
+        require_int("evaluation point", y, 0)
         return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
 
     @property

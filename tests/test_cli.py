@@ -175,6 +175,16 @@ class TestWitnessCommand:
             "value: 24",
         ]
 
+    def test_even_depth_text_format(self, capsys):
+        code, out, _ = run(capsys, ["witness", "--u", "2", "--v", "3", "--depth", "10"])
+        assert code == 0
+        assert out.splitlines() == [
+            "word: RLRLRLRLRL",
+            'matrix: [["26839", "11715"], ["7810", "3409"]]',
+            "entry: (1,1)",
+            "value: 26839",
+        ]
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, [
             "witness", "--u", "2", "--v", "3", "--depth", "3", "--format", "json"])

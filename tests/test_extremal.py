@@ -455,6 +455,17 @@ class TestWitness:
             assert w.matrix.rows()[r - 1][c - 1] == w.value
             assert w.value == mu(w.matrix) == mu_depth(params, n)
 
+    @pytest.mark.parametrize("u", range(2, 9))
+    @pytest.mark.parametrize("v", range(2, 9))
+    def test_even_depths_peak_at_the_top_left(self, u, v):
+        # Cayley-Hamilton puts the maximum of (RL)^j at (1,1) once min(u,v) >= 2.
+        params = MonoidParams(u, v)
+        for n in range(2, 201, 2):
+            w = witness(params, n)
+            assert w.word == "RL" * (n // 2)
+            assert w.position == (1, 1)
+            assert w.value == w.matrix.a == mu_depth(params, n)
+
     def test_domain_validation(self):
         with pytest.raises(InvalidParams):
             witness(P23, 0)

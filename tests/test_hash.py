@@ -3,6 +3,7 @@ digest serialization, and the exhaustive collision search."""
 import builtins
 import random
 import re
+import sys
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -55,6 +56,18 @@ KERNEL_PARAMS = [
 long_bit_lists = st.lists(st.integers(0, 1), max_size=90)
 # Elements the byte packer refuses; the per-bit path decides each one.
 odd_elements = st.sampled_from([2, -1, 256, 2**70, 1.0, 0.0, None, "0", "1", b"\x01", 0.5])
+
+
+# The bits of each byte value, most significant first: the table the decoder
+# used before it went through int.from_bytes and bin().
+BYTE_BITS = tuple(tuple(byte >> k & 1 for k in range(7, -1, -1)) for byte in range(256))
+
+needs_digit_cap = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit cap in this Python")
+
+
+def bits_by_table(data):
+    return [bit for byte in data for bit in BYTE_BITS[byte]]
 
 
 def fold(state, bits):
@@ -468,6 +481,34 @@ class TestBitDecoders:
         assert bits_from_bytes_msb(data) == [
             byte >> k & 1 for byte in data for k in range(7, -1, -1)]
 
+    @pytest.mark.parametrize("raw", [
+        b"", bytes(range(256)), b"\x00\x00\x00\x01", b"\x00" * 9, b"\x00\xff\x00",
+    ], ids=["empty", "every-byte", "leading-zeros", "all-zeros", "inner-zeros"])
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview, lambda raw: iter(list(raw))],
+                             ids=["bytes", "bytearray", "memoryview", "iterator"])
+    def test_bytes_msb_matches_the_byte_table(self, raw, wrap):
+        assert bits_from_bytes_msb(wrap(raw)) == bits_by_table(raw)
+
+    @pytest.mark.parametrize("data", [[-1], [256], [-256], [0, 1, 300], (2**70,)])
+    def test_values_outside_a_byte_are_refused(self, data):
+        hp = HashParams(2, 3, 101)
+        state = HashState(hp)
+        for call in (bits_from_bytes_msb, state.update_bytes):
+            with pytest.raises(ValueError, match=re.escape("bytes must be in range(0, 256)")):
+                call(data)
+        assert snapshot(state) == snapshot(HashState(hp))
+
+    def test_an_int_is_not_a_length(self):
+        for call in (bits_from_bytes_msb, HashState(HP235).update_bytes):
+            with pytest.raises(TypeError, match="expected bytes or an iterable of ints, got 5"):
+                call(5)
+
+    def test_update_bytes_takes_any_byte_source(self):
+        expected = snapshot(HashState(HP235).update_bytes(b"\x00\x93\xff"))
+        for data in (bytearray(b"\x00\x93\xff"), memoryview(b"\x00\x93\xff"),
+                     [0, 0x93, 0xff], iter([0, 0x93, 0xff])):
+            assert snapshot(HashState(HP235).update_bytes(data)) == expected
+
     def test_bytes_msb_first(self):
         assert bits_from_bytes_msb(b"\xa5") == [1, 0, 1, 0, 0, 1, 0, 1]
         assert bits_from_bytes_msb(b"\x80\x01") == [1, 0, 0, 0, 0, 0, 0, 0,
@@ -489,10 +530,40 @@ class TestSerialization:
         assert digest_hex(hash_string(hp, "01100"), hp) == "1906360d"
 
     def test_parse_validates_length_and_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^digest must be 4 bytes for p=5, got 3$"):
             parse(b"\x00\x01\x04", HP235)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^residue 7 out of range for p=5$"):
             parse(b"\x00\x01\x04\x07", HP235)
+
+    @pytest.mark.parametrize("field", [5, 1000, -1, 1.5, True, None, "1"])
+    def test_serialize_refuses_fields_that_are_not_residues(self, field):
+        for d in (Digest(field, 0, 0, 1), Digest(0, 0, 0, field)):
+            with pytest.raises(ValueError) as exc:
+                serialize(d, HP235)
+            assert str(exc.value) == f"residue {field!r} out of range for p=5"
+
+    @needs_digit_cap
+    def test_messages_past_the_digit_cap(self):
+        # A 664-digit Mersenne prime, past the smallest cap CPython allows, 640.
+        p = 2**2203 - 1
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            hp = HashParams(1, 1, p)
+            width = hp.byte_width
+            messages = []
+            for call in (lambda: parse(b"x", hp), lambda: parse(b"\xff" * 4 * width, hp),
+                         lambda: serialize(Digest(p, 0, 0, 1), hp)):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                messages.append(str(exc.value))
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert messages == [
+            f"digest must be {4 * width} bytes for p=<2203-bit integer>, got 1",
+            "residue <2208-bit integer> out of range for p=<2203-bit integer>",
+            "residue <2203-bit integer> out of range for p=<2203-bit integer>",
+        ]
 
     @given(st.lists(st.integers(0, 4), min_size=4, max_size=4))
     def test_round_trip_small_modulus(self, fields):

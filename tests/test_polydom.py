@@ -348,8 +348,14 @@ class TestBiPolyN:
     def test_evaluation_and_degree(self):
         f = BiPolyN({(1, 1): 1, (0, 0): 1})  # XY + 1
         assert f(2, 3) == 7
+        assert f(0, 0) == 1
         assert f.total_degree == 2
         assert BiPolyN().total_degree == -1
+        for x, y in ((1.5, 2), (-1, 2), (2, True), ("a", 2), (2, -1), (2, 0.0), (None, 1)):
+            bad = y if type(x) is int and x >= 0 else x
+            with pytest.raises(InvalidParams) as exc:
+                f(x, y)
+            assert str(exc.value) == f"evaluation point must be a nonnegative integer, got {bad!r}"
 
     def test_repr_is_the_sorted_dict_form(self):
         for f in (BiPolyN(), BiPolyN({(1, 1): 1, (0, 0): 1, (0, 2): 5})):
