@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 
-from .errors import InvalidParams, WitnessMismatch, require_int, show
+from .errors import InvalidParams, WitnessMismatch, require_int, require_output_size, show
 from .matrix import Mat2, MonoidParams, mu, word_to_matrix
 
 __all__ = [
@@ -80,32 +80,158 @@ class LucasPair:
 def lucas(P: int, m: int) -> LucasPair:
     """Exact (U_m, V_m) in O(log m) steps by doubling.
 
-    Uses U_{2k} = U_k*V_k, V_{2k} = V_k^2 - 2, and the half-sum step-up
-    U_{k+1} = (P*U_k + V_k)/2, V_{k+1} = ((P^2-4)*U_k + P*V_k)/2. The
-    half-sums are exact: U_k and V_k are congruent mod 2 when P is odd
-    and V_k is always even when P is even.
+    A doubling is V_{2k} = V_k^2 - 2 and U_{2k} = U_k*V_k; from
+    _SQUARE_BITS on, the product costs one more big-integer square, as
+    U_k*V_k = ((U_k+V_k)^2 - V_k^2 - U_k^2)/2, where
+    U_k^2 = floor(V_k^2/D) for D = P^2-4 >= 5 by V_k^2 - D*U_k^2 = 4.
+    The step-up is the half-sum U_{k+1} = (P*U_k + V_k)/2, then
+    V_{k+1} = P*U_{k+1} - 2*U_k, which is (D*U_k + P*V_k)/2. The half-sum is
+    exact: U_k and V_k are congruent mod 2 when P is odd and V_k is always
+    even when P is even.
     """
     require_int("P", P, 3)
     require_int("m", m, 0)
+    require_output_size(_answer_bytes(P, m), "bytes", "lucas at m = {} has about", m)
     return LucasPair(P, m, *_ladder(P, m))
+
+
+def _answer_bytes(P: int, m: int) -> int:
+    """About the size in bytes of U_m for x^2 - Px + 1: about P^m, so
+    m*log2(P) bits. The estimate is taken in integers, so any m is sized at
+    once, before any work."""
+    return m * math.ceil(1024 * math.log2(P)) >> 13
 
 
 def _ladder(P: int, m: int, n: int = 0) -> tuple[int, int]:
     """The ladder of lucas, unchecked: (U_m, V_m) mod an odd n > 1, exact for
-    n = 0. Mod n a half-sum's numerator x may be odd although its exact value
-    is even; as n is odd, x + n is then even, and (x + n)/2 is the half-sum."""
+    n = 0.
+
+    Mod n, a doubling is the product U*V and the square V*V, the step-up is
+    the two half-sums (P*U + V)/2 and (D*U + P*V)/2, and both are reduced
+    mod n. A half-sum's numerator x may then be odd although its exact value
+    is even; as n is odd, x + n is then even, and (x + n)/2 is the half-sum.
+
+    Exact, a doubling from _SQUARE_BITS on is the two squares S = V^2 and
+    T = (U+V)^2 through _square, with U_{2k} = (T - S - floor(S/D))/2 and
+    V_{2k} = S - 2; below it two squares cost more than the product. The
+    step-up is U_{k+1} = (P*U_k + V_k)/2, then V_{k+1} = P*U_{k+1} - 2*U_k:
+    two products in place of four. The old U and V are dropped as soon as
+    they are used, so a deep ladder's peak memory is its last two squares or
+    the step-up's two products.
+    """
     U, V = 0, 2
     D = P * P - 4
-    for k in range(m.bit_length() - 1, -1, -1):
-        U, V = U * V, V * V - 2
-        if m >> k & 1:
-            U, V = P * U + V, D * U + P * V
-            if n:
+    if n:
+        for k in range(m.bit_length() - 1, -1, -1):
+            U, V = U * V, V * V - 2
+            if m >> k & 1:
+                U, V = P * U + V, D * U + P * V
                 U, V = U + (U & 1) * n, V + (V & 1) * n
-            U, V = U >> 1, V >> 1
-        if n:
+                U, V = U >> 1, V >> 1
             U, V = U % n, V % n
+        return U, V
+    for k in range(m.bit_length() - 1, -1, -1):
+        if V.bit_length() < _SQUARE_BITS:
+            U, V = U * V, V * V - 2
+        else:
+            U += V
+            V = _square(V)
+            U = _square(U) - V
+            U = (U - V // D) >> 1
+            V -= 2
+        if m >> k & 1:
+            V += P * U
+            U, V = V >> 1, U
+            V = P * U - V - V
     return U, V
+
+
+# Below this many bits _square is x*x: there CPython's Karatsuba beats the
+# transform, which wins from about 200,000 bits (Python 3.11, x86-64).
+_SQUARE_BITS = 250_000
+
+
+def _square(x: int) -> int:
+    """x*x, by a Schönhage–Strassen transform from _SQUARE_BITS bits on.
+
+    |x| is cut into N/2 pieces of M bits, where N = 2^k >= 2 is the largest
+    power of two with N^2 <= 2*bits and M is a multiple of 8, so the pieces
+    are byte slices; N/2 zero pieces follow. The square is the cyclic
+    convolution of the N pieces, evaluated mod F = 2^K + 1 with K >= 2M+k+1
+    a multiple of N/2, so that w = 2^(2K/N) is a primitive N-th root of unity
+    and every twiddle is a shift: a decimation-in-frequency forward pass
+    (natural order in, bit-reversed out), pointwise squares mod F, a
+    decimation-in-time inverse pass (bit-reversed in, natural out), and a
+    scaling by N^-1 = 2^(2K-k) = -2^(K-k). Sums inside the passes are left
+    unreduced, as every step is a congruence mod F.
+
+    The result is exact by construction: with half the pieces zero no
+    coefficient wraps, and each coefficient is a sum of at most N/2
+    products below 2^(2M), so below 2^(2M+k) < F, and it is its own
+    residue. The coefficients are carried into M-bit pieces one by one,
+    each dropped once consumed.
+    """
+    b = x.bit_length()
+    if b < _SQUARE_BITS:
+        return x * x
+    k = max(((2 * b).bit_length() - 1) >> 1, 1)
+    N, half = 1 << k, 1 << k - 1
+    M = -(-b // half)
+    M += -M % 8
+    K = 2 * M + k + 1
+    K += -K % half
+    width = M >> 3
+    data = abs(x).to_bytes(-(-b // 8), "little")
+    a = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    del data
+    a += [0] * (N - len(a))
+    # Forward: the pairs at distance h take w^(j*N/2h) = 2^(j*K/h), j < h,
+    # and d*2^s = d_hi*2^K + d_lo*2^s == d_lo*2^s - d_hi for d_hi = d >> (K-s).
+    h = half
+    while h:
+        for j in range(h):
+            s = j * (K // h)
+            r = K - s
+            low = (1 << r) - 1
+            for i in range(j, N, 2 * h):
+                p, q = a[i], a[i + h]
+                a[i] = p + q
+                d = p - q
+                a[i + h] = ((d & low) << s) - (d >> r)
+        h >>= 1
+    F = (1 << K) + 1
+    mask = F - 2
+    # Pointwise: y*y = hi*2^K + lo == lo - hi.
+    for i in range(N):
+        y = a[i] % F
+        y *= y
+        a[i] = (y & mask) - (y >> K)
+    # Inverse: w^-(j*N/2h) = -2^(K-s) for s = j*K/h, and at j = 0 the same
+    # formula is the identity.
+    h = 1
+    while h < N:
+        for j in range(h):
+            r = j * (K // h)
+            s = K - r
+            low = (1 << r) - 1
+            for i in range(j, N, 2 * h):
+                p, q = a[i], a[i + h]
+                q = (q >> r) - ((q & low) << s)
+                a[i] = p + q
+                a[i + h] = p - q
+        h <<= 1
+    # Scale by -2^(K-k), reduce into [0, F), and carry into M-bit pieces.
+    s, low = K - k, (1 << k) - 1
+    piece = (1 << M) - 1
+    out = bytearray()
+    carry = 0
+    for i in range(N):
+        c = a[i]
+        a[i] = None
+        c = ((c >> k) - ((c & low) << s)) % F + carry
+        out += (c & piece).to_bytes(width, "little")
+        carry = c >> M
+    return int.from_bytes(out, "little")
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,6 +267,9 @@ def alpha_gamma(params: MonoidParams, a: int, c: int, n: int) -> AlphaGammaPair:
     _require_start_column(a, c)
     require_int("n", n, 0)
     u, v = params.u, params.v
+    require_output_size(
+        _answer_bytes(2 + u * v, n), "bytes", "the column after {} steps has about", n
+    )
     U, V = _ladder(2 + u * v, n)
     prev = ((2 + u * v) * U - V) // 2
     alpha = U * (a + v * c) - prev * a
@@ -278,14 +407,24 @@ def _combo(P: int, m: int, alpha: int, beta: int) -> int:
     X_k = alpha*U_{k+1} + beta*U_k solves x_{k+1} = P*x_k - x_{k-1}, and
     every solution satisfies X_{2h} = X_h*V_h - X_0 and
     X_{2h+1} = X_{h+1}*V_h - X_1 (Joye and Quisquater, 1996). With
-    h = m >> 1, the last doubling is the single product X_h*V_h or
-    X_{h+1}*V_h, where lucas(P, m) would pay for U*V and V^2.
+    h = m >> 1, the last doubling is the single product X*V of X = X_h or
+    X_{h+1}, where lucas(P, m) would pay for U*V and V^2. From
+    _SQUARE_BITS on, the product is taken as ((X+V)^2 - (X-V)^2)/4 through
+    the squaring kernel.
     """
     U, V = _ladder(P, m >> 1)
     up = (P * U + V) // 2  # U_{h+1}; U_{h+2} = P*U_{h+1} - U_h
     if m & 1:
-        return (alpha * (P * up - U) + beta * up) * V - (alpha * P + beta)
-    return (alpha * up + beta * U) * V - alpha
+        X, X0 = alpha * (P * up - U) + beta * up, alpha * P + beta
+    else:
+        X, X0 = alpha * up + beta * U, alpha
+    if V.bit_length() < _SQUARE_BITS:
+        return X * V - X0
+    del U, up
+    S = _square(X + V)
+    X -= V
+    del V
+    return (S - _square(X) >> 2) - X0
 
 
 def mu_depth(params: MonoidParams, n: int) -> int:
@@ -301,6 +440,9 @@ def mu_depth(params: MonoidParams, n: int) -> int:
     if n == 0:
         return 1
     s, t = params.s, params.t
+    require_output_size(
+        _answer_bytes(2 + s * t, n >> 1), "bytes", "the maximal entry at depth {} has about", n
+    )
     alpha, beta = _parity_coeffs(s, t, n)
     return _combo(2 + s * t, n >> 1, alpha, beta)
 
@@ -328,6 +470,8 @@ def witness(params: MonoidParams, n: int) -> Witness:
     against mu_depth; a mismatch raises rather than returning a wrong witness.
     """
     require_int("witness depth", n, 1)
+    require_output_size(n, "letters", "the witness word at depth {} has", n)
+    expected = mu_depth(params, n)
     u, v = params.u, params.v
     k = (n - 1) // 2
     if n % 2 == 1:
@@ -342,7 +486,6 @@ def witness(params: MonoidParams, n: int) -> Witness:
     else:
         word, position = "R" + "RL" * k + "R", (1, 2)
     m = word_to_matrix(word, params)
-    expected = mu_depth(params, n)
     value = m.rows()[position[0] - 1][position[1] - 1]
     if value != expected or mu(m) != expected:
         raise WitnessMismatch(
@@ -365,6 +508,7 @@ def fseq(params: MonoidParams, n: int) -> int:
     """
     require_int("index", n, 0)
     P = 2 + params.u * params.v
+    require_output_size(_answer_bytes(P, n >> 1), "bytes", "F_{} has about", n)
     if n % 2 == 1:
         return _combo(P, n >> 1, 1, -1)
     return _combo(P, n >> 1, 0, params.v)

@@ -5,6 +5,7 @@ library alone."""
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from matmonoid import (
     Mat2,
     MonoidParams,
     alpha_gamma,
+    fseq,
     IDENTITY,
     ONE,
     LimitExceeded,
@@ -40,7 +42,10 @@ from matmonoid import (
     witness,
 )
 from matmonoid.errors import (
+    DEFAULT_OUTPUT_LIMIT,
     ENUM_LIMIT_ENV,
+    OUTPUT_FLOOR,
+    OUTPUT_LIMIT_ENV,
     IndexOutOfRange,
     MatMonoidError,
     NotInMonoid,
@@ -143,6 +148,55 @@ class TestRequireEnumSize:
     def test_huge_size_is_refused_without_building_it(self):
         with pytest.raises(LimitExceeded, match=r"^x has 2\^1000000000000 items"):
             require_enum_size("x has", 10**12, "items", None, 2**20)
+
+
+# Each exact answer as a function of its depth or index n, an n past the
+# output floor, and the answer's size in bytes there for (u, v) = (2, 3),
+# P = 8: about n*log2(8)/8, half that where the answer is U at n/2, and a
+# byte a letter for the witness word.
+GUARDED = [
+    pytest.param(lambda n: mu_depth(P23, n), 400_000, 75_000, id="mu_depth"),
+    pytest.param(lambda n: lucas(8, n), 200_000, 75_000, id="lucas"),
+    pytest.param(lambda n: fseq(P23, n), 400_000, 75_000, id="fseq"),
+    pytest.param(lambda n: alpha_gamma(P23, 1, 2, n), 200_000, 75_000, id="alpha_gamma"),
+    pytest.param(lambda n: witness(P23, n), 100_000, 100_000, id="witness"),
+]
+
+
+class TestRequireOutputSize:
+    @pytest.mark.parametrize("call,n,size", GUARDED)
+    def test_refuses_a_huge_answer_before_any_work(self, call, n, size):
+        start = time.perf_counter()
+        for huge in (10**9, 10**12, 10**400):
+            with pytest.raises(LimitExceeded) as exc:
+                call(huge)
+            assert str(exc.value).endswith(f"more than the limit of {DEFAULT_OUTPUT_LIMIT} "
+                                           f"bytes; raise it with {OUTPUT_LIMIT_ENV}")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("call,n,size", GUARDED)
+    def test_the_knob_moves_the_cap(self, call, n, size, monkeypatch):
+        assert size > OUTPUT_FLOOR
+        monkeypatch.setenv(OUTPUT_LIMIT_ENV, str(size - 16))
+        with pytest.raises(LimitExceeded, match=f"more than the limit of {size - 16} bytes"):
+            call(n)
+        monkeypatch.setenv(OUTPUT_LIMIT_ENV, str(size + 16))
+        call(n)
+
+    def test_the_cap_stays_between_the_floor_and_sys_maxsize(self, monkeypatch):
+        monkeypatch.setenv(OUTPUT_LIMIT_ENV, "0")
+        mu_depth(P23, 2 * OUTPUT_FLOOR)
+        with pytest.raises(LimitExceeded, match=f"more than the limit of {OUTPUT_FLOOR} bytes"):
+            mu_depth(P23, 2 * 10**6)
+        monkeypatch.setenv(OUTPUT_LIMIT_ENV, str(2**70))
+        with pytest.raises(LimitExceeded, match=f"more than the limit of {sys.maxsize} bytes"):
+            factor(Mat2(1, 2**63, 0, 1), MonoidParams(1, 1))
+
+    def test_malformed_knob_is_a_domain_error(self, monkeypatch):
+        monkeypatch.setenv(OUTPUT_LIMIT_ENV, "lots")
+        mu_depth(P23, 10)
+        with pytest.raises(LimitExceeded, match=f"^{OUTPUT_LIMIT_ENV} must be an integer"):
+            mu_depth(P23, 10**9)
 
 
 @pytest.mark.parametrize("call,error", [

@@ -2,13 +2,16 @@
 import contextlib
 import io
 import json
+import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from matmonoid import InvalidParams, MonoidParams, mu_depth, suites, tree, witness
 from matmonoid.cli import main
+from matmonoid.errors import decimal_str
 
 # Python 3.10.7+ refuses int <-> decimal conversions past this many digits.
 DIGIT_CAP = 4300
@@ -152,6 +155,16 @@ class TestMuCommand:
         assert int(out) == 359579325206583560961765665172189099052367214309267232255589801
 
 
+    @pytest.mark.parametrize("command", ["mu", "witness"])
+    def test_depth_past_the_output_cap_names_the_knob(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, "--u", "2", "--v", "3", "--depth", str(10**12)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the ")
+        assert "depth 1000000000000 has" in err
+        assert err.endswith("bytes; raise it with MATMONOID_OUTPUT_LIMIT\n")
+        assert time.perf_counter() - start < 1.0
+
     @needs_digit_cap
     def test_answer_past_the_digit_cap(self, capsys):
         cap = sys.get_int_max_str_digits()
@@ -162,6 +175,26 @@ class TestMuCommand:
             expected = str(mu_depth(MonoidParams(2, 3), 10000))
         assert len(expected) > DIGIT_CAP
         assert out == expected + "\n"
+
+
+@needs_digit_cap
+class TestDecimalStr:
+    """decimal_str against str with the digit cap lifted, on both sides of
+    the cap and far past it, where it converts by divide and conquer."""
+
+    def test_matches_str(self):
+        rng = random.Random(90716)
+        values = [0, 1, -1]
+        for bits in (64, 14_000, 14_400, 65_536, 200_000, 10**6):
+            values += [rng.getrandbits(bits), -rng.getrandbits(bits)]
+        for j in (DIGIT_CAP - 1, DIGIT_CAP, DIGIT_CAP + 1, 10**4, 10**5):
+            values += [10**j - 1, 10**j, 10**j + 1, 1 - 10**j]
+        cap = sys.get_int_max_str_digits()
+        for value in values:
+            with no_digit_cap():
+                expected = str(value)
+            assert decimal_str(value) == expected, value.bit_length()
+            assert sys.get_int_max_str_digits() == cap
 
 
 class TestWitnessCommand:

@@ -122,6 +122,33 @@ def combo_by_two_products(P, m, alpha, beta):
     return alpha * ((P * pair.U + pair.V) // 2) + beta * pair.U
 
 
+def ladder_by_products(P, m):
+    """(U_m, V_m) by the doubling U_{2k} = U_k*V_k, V_{2k} = V_k^2 - 2 and the
+    step-up ((P*U + V)/2, ((P^2-4)*U + P*V)/2), each a plain product: the
+    reference for _ladder, whose doubling takes two squares through the
+    squaring kernel."""
+    U, V = 0, 2
+    D = P * P - 4
+    for k in range(m.bit_length() - 1, -1, -1):
+        U, V = U * V, V * V - 2
+        if m >> k & 1:
+            U, V = (P * U + V) >> 1, (D * U + P * V) >> 1
+    return U, V
+
+
+def kernel_layout_sizes():
+    """Bit lengths just below, at and above each edge of the squaring kernel's
+    layout: where N = 2^k doubles (b = 2^(2k-1)) up to N = 2^9, and for
+    N up to 2^7 also every b where the piece width M, a multiple of 8,
+    steps up (b a multiple of 8*N/2)."""
+    sizes = set()
+    for k in range(1, 10):
+        start, step = 1 << (2 * k - 1), 1 << (k + 2)
+        edges = range(start, 4 * start if k <= 7 else start + 1, step)
+        sizes.update(b + d for b in edges for d in (-1, 0, 1))
+    return sorted(sizes)
+
+
 def collision_horizon_by_search(params, bound):
     """Exponential then binary search on the depth maxima, about 2*log2(n)
     ladders: the reference for collision_horizon."""
@@ -540,6 +567,73 @@ class TestTopProduct:
         for n in DEEP_DEPTHS:
             assert mu_depth(params, n) == mu_depth_by_two_products(params, n), n
             assert fseq(params, n) == fseq_by_two_products(params, n), n
+
+
+@pytest.fixture
+def forced_kernel(monkeypatch):
+    """Every square of the ladder and every top product of _combo, of any
+    size, through the transform of the squaring kernel."""
+    monkeypatch.setattr(extremal, "_SQUARE_BITS", 1)
+
+
+class TestSquareKernel:
+    """extremal._square against x*x, and the ladder and top product built on
+    it against plain products; the full-size checks reduce mod q, where the
+    ladder never reaches the kernel."""
+
+    def test_small_values(self, forced_kernel):
+        for x in (0, 1, -1, 2, 3, -7, 255, 256, 257):
+            assert extremal._square(x) == x * x, x
+
+    def test_every_layout_edge(self, forced_kernel):
+        rng = random.Random(1971)
+        for b in kernel_layout_sizes():
+            top = 1 << b
+            for x in (top - 1, top, top + 1, rng.getrandbits(b) | top >> 1,
+                      -rng.getrandbits(b)):
+                assert extremal._square(x) == x * x, (b, x - top)
+
+    def test_seeded_sizes(self, forced_kernel):
+        rng = random.Random(14)
+        for _ in range(16):
+            x = rng.getrandbits(rng.randrange(1, 200_001))
+            assert extremal._square(x) == x * x, x.bit_length()
+
+    def test_both_sides_of_the_threshold(self):
+        for b in (extremal._SQUARE_BITS - 1, extremal._SQUARE_BITS):
+            for x in ((1 << b) - 1, random.Random(b).getrandbits(b) | 1 << (b - 1)):
+                assert extremal._square(x) == x * x, b
+
+    @pytest.mark.parametrize("P", [*range(3, 13), 37])
+    def test_ladder_matches_one_product_doublings(self, P, forced_kernel):
+        for m in [*range(300), *range(300, 5001, 97), *around_powers_of_two(range(9, 17))]:
+            assert extremal._ladder(P, m) == ladder_by_products(P, m), (P, m)
+
+    @pytest.mark.parametrize("P", [3, 8, 37])
+    def test_combo_matches_one_top_product(self, P, forced_kernel):
+        for m in [*range(0, 300, 7), *around_powers_of_two(range(9, 15))]:
+            U, V = ladder_by_products(P, m)
+            for alpha, beta in [(1, 0), (1, -1), (6, -36), (0, 6)]:
+                expected = alpha * ((P * U + V) >> 1) + beta * U
+                assert extremal._combo(P, m, alpha, beta) == expected, (P, m, alpha, beta)
+
+    @pytest.mark.parametrize("P", [3, 8, 37])
+    def test_full_size_lucas_against_the_ladder_mod_q(self, P):
+        for m in (500_000, 515_021):
+            pair = lucas(P, m)
+            assert pair.U.bit_length() > 2 * extremal._SQUARE_BITS
+            for q in (2**61 - 1, 2**127 - 1):
+                assert (pair.U % q, pair.V % q) == extremal._ladder(P, m, q), (P, m, q)
+
+    @pytest.mark.parametrize("u,v", [(1, 1), (2, 3), (5, 7)])
+    def test_full_size_mu_depth_against_the_ladder_mod_q(self, u, v):
+        params, q = MonoidParams(u, v), 2**127 - 1
+        P = 2 + u * v
+        for n in (1_000_000, 1_050_001):
+            alpha, beta = extremal._parity_coeffs(params.s, params.t, n)
+            U, V = extremal._ladder(P, n >> 1, q)
+            up = (P * U + V) * pow(2, -1, q)
+            assert mu_depth(params, n) % q == (alpha * up + beta * U) % q, (u, v, n)
 
 
 class TestCollisionHorizon:

@@ -1,12 +1,18 @@
 """Generator arithmetic, word products, and unique factorization."""
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import matmonoid
 from matmonoid import (
     IDENTITY,
     InvalidParams,
@@ -401,15 +407,38 @@ class TestRunPeeling:
 
     @pytest.mark.parametrize("k", [2**63, 2**64, 3 * 2**64 + 5])
     def test_a_word_too_long_for_a_str_is_refused(self, k):
-        # The run lengths are summed before the join, which would otherwise
-        # leak OverflowError past sys.maxsize letters.
+        # The run lengths are summed and checked against the output cap
+        # before the join, which no str could hold at these lengths.
         for m, params in ((Mat2(1, k, 0, 1), MonoidParams(1, 1)),
                           (Mat2(1, 0, 3 * k, 1), MonoidParams(3, 2))):
             with pytest.raises(LimitExceeded, match=f"the word has {k} letters, more than"):
                 factor(m, params)
 
+    def test_a_word_past_the_output_cap_is_refused_before_the_join(self):
+        # Under a 2 GB address space, building 2^40 letters would raise a bare
+        # MemoryError; the summed run lengths are checked first.
+        script = (
+            "from matmonoid import LimitExceeded, Mat2, MonoidParams, factor\n"
+            "try:\n"
+            "    factor(Mat2(1, 2**40, 0, 1), MonoidParams(1, 1))\n"
+            "except LimitExceeded as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(matmonoid.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        limit = 2_000_000 * 1024
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(f"the word has {2**40} letters, more than the limit of ")
+        assert proc.stdout.endswith("raise it with MATMONOID_OUTPUT_LIMIT\n")
+
     def test_two_runs_are_summed(self):
-        # Neither run alone is past sys.maxsize, together they are.
+        # The message names the summed length of both runs, not the longer
+        # run: a check on the longest run alone would print 2^62.
         half = 2**62
         m = mul(Mat2(1, half, 0, 1), Mat2(1, 0, half, 1))
         with pytest.raises(LimitExceeded, match=f"the word has {2 * half} letters"):
