@@ -3,7 +3,8 @@
 All numeric output is exact decimal; big integers go into JSON as
 decimal strings so any parser round-trips them. Exit codes: 0 success,
 1 domain errors (bad primes, unreachable matrices, exceeded limits,
-failed verification), 2 usage errors.
+failed verification), 2 usage errors. Each command imports the modules
+it runs inside its own function: `mu` never loads the hash or the tree.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, bsvhash, extremal, suites, tree
+from . import __version__
 from .errors import MatMonoidError, decimal_str
 from .matrix import IDENTITY, MonoidParams
 
@@ -33,6 +34,8 @@ def _int_at_least(low: int, kind: str):
 
 _positive_int = _int_at_least(1, "a positive integer")
 _nonneg_int = _int_at_least(0, "a nonnegative integer")
+# suites.SUITE_NAMES plus "all", written out so --help need not load suites.
+_SUITE_CHOICES = ("formulas", "symmetry", "polydom", "hash", "all")
 
 
 def _add_uv(parser: argparse.ArgumentParser) -> None:
@@ -105,32 +108,32 @@ def build_parser() -> argparse.ArgumentParser:
         "p in {101,257,1009}, and streaming laws. --max-depth caps the "
         "enumeration depth of the formulas/symmetry suites.",
     )
-    p_verify.add_argument(
-        "--suite", choices=suites.SUITE_NAMES + ("all",), default="all"
-    )
+    p_verify.add_argument("--suite", choices=_SUITE_CHOICES, default="all")
     p_verify.add_argument("--max-depth", type=_nonneg_int, default=10)
     return parser
 
 
-def _hash_input(args: argparse.Namespace, params: bsvhash.HashParams) -> bsvhash.Digest:
+def _read_input(args: argparse.Namespace) -> str | bytes:
+    """The --input file or stdin: ASCII text for ascii01, raw bytes for bytes-msb."""
     if args.bits == "ascii01":
         if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input, "r", encoding="ascii") as fh:
-                text = fh.read()
-        return bsvhash.hash_string(params, bsvhash._ascii01_digits(text))
+            return sys.stdin.read()
+        with open(args.input, "r", encoding="ascii") as fh:
+            return fh.read()
     if args.input == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(args.input, "rb") as fh:
-            data = fh.read()
-    return bsvhash.HashState(params).update_bytes(data).digest()
+        return sys.stdin.buffer.read()
+    with open(args.input, "rb") as fh:
+        return fh.read()
 
 
 def _cmd_hash(args: argparse.Namespace) -> int:
+    from . import bsvhash
     params = bsvhash.HashParams(args.u, args.v, args.p)
-    digest = _hash_input(args, params)
+    data = _read_input(args)
+    if args.bits == "ascii01":
+        digest = bsvhash.hash_string(params, bsvhash._ascii01_digits(data))
+    else:
+        digest = bsvhash.HashState(params).update_bytes(data).digest()
     if args.format == "hex":
         print(bsvhash.digest_hex(digest, params))
     else:
@@ -139,6 +142,7 @@ def _cmd_hash(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from . import bsvhash
     params = bsvhash.HashParams(args.u, args.v, args.p)
     print(bsvhash.bound_n0(params))
     return 0
@@ -147,16 +151,20 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_mu(args: argparse.Namespace) -> int:
     params = MonoidParams(args.u, args.v)
     if args.method == "brute":
-        value = tree.mu_row_bruteforce(params, args.depth)
+        from .tree import mu_row_bruteforce
+        value = mu_row_bruteforce(params, args.depth)
     elif args.method == "witness" and args.depth >= 1:
-        value = extremal.witness(params, args.depth).value
+        from .extremal import witness
+        value = witness(params, args.depth).value
     else:
-        value = extremal.mu_depth(params, args.depth)
+        from .extremal import mu_depth
+        value = mu_depth(params, args.depth)
     print(decimal_str(value))
     return 0
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    from . import extremal
     params = MonoidParams(args.u, args.v)
     w = extremal.witness(params, args.depth)
     # Format everything before printing, so a failure prints nothing.
@@ -178,6 +186,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
+    from . import tree
     params = MonoidParams(args.u, args.v)
     # Rows grow with depth: if the deepest row is within the cap, all are.
     tree.require_row(args.depth)
@@ -188,6 +197,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import suites
     results = suites.run_suite(args.suite, args.max_depth)
     for result in results:
         print(result.line())

@@ -73,16 +73,21 @@ def show(value: object) -> str:
 def decimal_str(value: int) -> str:
     """str(value) for an exact answer at any size. The digit cap guards untrusted
     input, not computed answers, so a value past it is still converted, in
-    subquadratic time, by _decimal_digits."""
-    try:
-        return str(value)
-    except ValueError:
-        pass
+    subquadratic time, by _decimal_digits; chosen by size, since with the cap
+    off str never refuses, and is quadratic."""
+    if value.bit_length() <= _STR_BITS:
+        try:
+            return str(value)
+        except ValueError:
+            pass
     with localcontext(_EXACT):
         digits = str(_decimal_digits(abs(value), value.bit_length(), {}))
     return "-" + digits if value < 0 else digits
 
 
+# The most bits whose str fits CPython's default 4,300-digit cap. str beats
+# _decimal_digits up to about 50,000 bits, so it takes every value it may.
+_STR_BITS = 14_284
 # Every Decimal built by _decimal_digits is an exact integer: a rounded
 # result would trap rather than print wrong digits.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])

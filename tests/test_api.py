@@ -96,6 +96,20 @@ class TestPublicNames:
         assert missing == []
         assert set(LEGACY_NAMES) <= set(matmonoid.__all__)
 
+    def test_star_import_binds_every_legacy_name(self):
+        namespace = {}
+        exec("from matmonoid import *", namespace)
+        assert set(LEGACY_NAMES) <= set(namespace)
+
+    def test_dir_lists_all_and_every_public_name(self):
+        names = dir(matmonoid)
+        assert "__all__" in names
+        assert set(matmonoid.__all__) <= set(names)
+
+    def test_unknown_name_raises_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            matmonoid.no_such_name
+
     def test_hash_aliases_are_gone(self):
         assert not hasattr(matmonoid, "init")
         assert not hasattr(matmonoid, "update_bit")

@@ -2,16 +2,19 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from matmonoid import InvalidParams, MonoidParams, mu_depth, suites, tree, witness
-from matmonoid.cli import main
-from matmonoid.errors import decimal_str
+import matmonoid
+from matmonoid import InvalidParams, MonoidParams, errors, mu_depth, suites, tree, witness
+from matmonoid.cli import _SUITE_CHOICES, main
+from matmonoid.errors import _STR_BITS, decimal_str
 
 # Python 3.10.7+ refuses int <-> decimal conversions past this many digits.
 DIGIT_CAP = 4300
@@ -189,12 +192,27 @@ class TestDecimalStr:
             values += [rng.getrandbits(bits), -rng.getrandbits(bits)]
         for j in (DIGIT_CAP - 1, DIGIT_CAP, DIGIT_CAP + 1, 10**4, 10**5):
             values += [10**j - 1, 10**j, 10**j + 1, 1 - 10**j]
+        for bits in range(_STR_BITS - 2, _STR_BITS + 3):
+            value = rng.getrandbits(bits) | 1 << (bits - 1)
+            values += [value, -value]
         cap = sys.get_int_max_str_digits()
         for value in values:
             with no_digit_cap():
                 expected = str(value)
+                assert decimal_str(value) == expected, value.bit_length()
             assert decimal_str(value) == expected, value.bit_length()
             assert sys.get_int_max_str_digits() == cap
+
+    def test_the_path_goes_by_size_with_the_cap_off(self, monkeypatch):
+        # With the cap off str never refuses, but it is quadratic past the constant.
+        calls = []
+        convert = errors._decimal_digits
+        monkeypatch.setattr(errors, "_decimal_digits", lambda *a: calls.append(a) or convert(*a))
+        with no_digit_cap():
+            for bits in (_STR_BITS, _STR_BITS + 1):
+                value = (1 << bits) - 1
+                assert decimal_str(value) == str(value)
+        assert calls and calls[0][1] == _STR_BITS + 1
 
 
 class TestWitnessCommand:
@@ -296,6 +314,9 @@ class TestVerifyCommand:
         assert code == 0
         assert out == expected
 
+    def test_suite_choices_are_the_suite_names(self):
+        assert _SUITE_CHOICES == suites.SUITE_NAMES + ("all",)
+
     def test_suite_order(self):
         assert suites.SUITE_NAMES == ("formulas", "symmetry", "polydom", "hash")
         each = [r.line() for name in suites.SUITE_NAMES for r in suites.run_suite(name, 2)]
@@ -389,3 +410,79 @@ class TestUsageErrors:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("matmonoid ")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv,name", [
+        (["--help"], "help.txt"),
+        (["verify", "--help"], "help_verify.txt"),
+    ])
+    def test_help_is_pinned(self, capsys, monkeypatch, argv, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (Path(__file__).parent / "data" / name).read_text()
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's matmonoid."""
+    src = str(Path(matmonoid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def loaded_modules(argv):
+    """The matmonoid submodules a fresh interpreter holds after cli.main(argv),
+    or after `import matmonoid` alone when argv is None."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "import matmonoid\n"
+        "if argv is not None:\n"
+        "    from matmonoid.cli import main\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('matmonoid.'))))\n"
+    )
+    proc = run_python("-c", script, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("matmonoid.") for name in json.loads(proc.stdout)}
+
+
+class TestImportOnDemand:
+    """Each command imports only the modules it runs."""
+
+    def test_package_import_loads_no_module(self):
+        assert loaded_modules(None) == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["mu", "--u", "2", "--v", "3", "--depth", "10"],
+        ["mu", "--u", "2", "--v", "3", "--depth", "10", "--method", "witness"],
+        ["witness", "--u", "2", "--v", "3", "--depth", "10"],
+    ])
+    def test_mu_and_witness_load_the_ladder_only(self, argv):
+        assert loaded_modules(argv) == {"cli", "errors", "matrix", "extremal"}
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--u", "2", "--v", "3", "--p", "101"],
+        ["hash", "--u", "2", "--v", "3", "--p", "101", "--input", os.devnull],
+    ])
+    def test_hash_and_bound_add_bsvhash(self, argv):
+        assert loaded_modules(argv) == {"cli", "errors", "matrix", "extremal", "bsvhash"}
+
+    @pytest.mark.parametrize("argv", [
+        ["tree", "--u", "2", "--v", "3", "--depth", "2"],
+        ["mu", "--u", "2", "--v", "3", "--depth", "4", "--method", "brute"],
+    ])
+    def test_tree_and_brute_load_the_tree(self, argv):
+        assert loaded_modules(argv) == {"cli", "errors", "matrix", "polydom", "tree"}
+
+    def test_package_never_imports_the_cli(self):
+        # Were cli in sys.modules before `-m matmonoid.cli` ran it, runpy would warn.
+        proc = run_python("-X", "dev", "-W", "error", "-m", "matmonoid.cli", "--version")
+        version = f"matmonoid {matmonoid.__version__}\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, version, "")
