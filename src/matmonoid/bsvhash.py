@@ -9,12 +9,11 @@ the horizon comes straight from the exact maximal-entry sequence.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidParams, require_enum_size, require_int, show
+from .errors import InvalidParams, _Record, require_enum_size, require_int, show
 from .extremal import _ladder, collision_horizon
 from .matrix import Mat2, MonoidParams, _Quad
 
@@ -136,13 +135,10 @@ def is_probable_prime(n: int) -> bool:
     return not _miller_rabin_witness(n, d, r, 2) and _extra_strong_lucas(n)
 
 
-@dataclass(frozen=True, slots=True)
-class HashParams:
+class HashParams(_Record):
     """Shear multipliers u, v and the prime modulus p."""
 
-    u: int
-    v: int
-    p: int
+    __slots__ = {"u": "int", "v": "int", "p": "int"}
 
     def __post_init__(self) -> None:
         require_int("u", self.u, 1)
@@ -161,14 +157,10 @@ class HashParams:
         return MonoidParams(self.u, self.v)
 
 
-@dataclass(frozen=True, slots=True)
-class Digest:
+class Digest(_Record):
     """The hash output: a matrix over F_p, row-major residues."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = {"a": "int", "b": "int", "c": "int", "d": "int"}
 
     to_json = Mat2.to_json
 

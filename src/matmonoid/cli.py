@@ -3,13 +3,12 @@
 All numeric output is exact decimal; big integers go into JSON as
 decimal strings so any parser round-trips them. Exit codes: 0 success,
 1 domain errors (bad primes, unreachable matrices, exceeded limits,
-failed verification), 2 usage errors. Each command imports the modules
-it runs inside its own function: `mu` never loads the hash or the tree.
+failed verification), 2 usage errors. Each command imports what it runs
+inside its own function: `mu` never loads the hash, the tree or json.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -137,6 +136,7 @@ def _cmd_hash(args: argparse.Namespace) -> int:
     if args.format == "hex":
         print(bsvhash.digest_hex(digest, params))
     else:
+        import json
         print(json.dumps(digest.to_json()))
     return 0
 
@@ -164,6 +164,7 @@ def _cmd_mu(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    import json
     from . import extremal
     params = MonoidParams(args.u, args.v)
     w = extremal.witness(params, args.depth)
@@ -186,6 +187,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
+    import json
     from . import tree
     params = MonoidParams(args.u, args.v)
     # Rows grow with depth: if the deepest row is within the cap, all are.

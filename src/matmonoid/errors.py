@@ -1,6 +1,6 @@
-"""Exception types, the shared integer check, the enumeration and output caps,
-and the two renderers that know the int digit cap: show for messages,
-decimal_str for answers."""
+"""Exception types, the base of the value classes, the shared integer check,
+the enumeration and output caps, and the two renderers that know the int
+digit cap: show for messages, decimal_str for answers."""
 from __future__ import annotations
 
 import os
@@ -56,6 +56,51 @@ class WitnessMismatch(MatMonoidError):
     This should never happen; it signals an index-convention bug in the
     witness word construction and must not be silenced.
     """
+
+
+class _Record:
+    """Base of the package's read-only value classes. A subclass names its fields
+    once, in a dict __slots__ from field to type; one exec per class writes out,
+    so that no call loops over fields, __init__ (then __post_init__, if any), ==
+    and hash on the tuple of fields, the repr Name(field=value, ...), and the
+    unchecked __reduce__ and __setstate__, unless the subclass defines them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        own = "".join(f"self.{f}, " for f in cls.__slots__)
+        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in cls.__slots__}
+        exec(_RECORD_METHODS.format(
+            params=", ".join(f"{f}: {t}" for f, t in cls.__slots__.items()),
+            sets="".join(f"    _set_{f}(self, {f})\n" for f in cls.__slots__),
+            check="    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+            own=own, other=own.replace("self.", "other."),
+            reprs=", ".join(f"{f}={{self.{f}!r}}" for f in cls.__slots__),
+            state="; ".join(f"_set_{f}(self, state[{i}])" for i, f in enumerate(cls.__slots__)),
+        ), scope)
+        for name in ("__init__", "__eq__", "__hash__", "__repr__", "__reduce__", "__setstate__"):
+            if name not in vars(cls):
+                scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, scope[name])
+        cls.__match_args__ = tuple(cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_RECORD_METHODS = """\
+def __init__(self, {params}) -> None:
+{sets}{check}
+def __eq__(self, other):
+    return ({own}) == ({other}) if other.__class__ is self.__class__ else NotImplemented
+def __hash__(self): return hash(({own}))
+def __repr__(self): return f"{{self.__class__.__qualname__}}({reprs})"
+def __reduce__(self): return object.__new__, (self.__class__,), ({own})
+def __setstate__(self, state): {state}
+"""
 
 
 def show(value: object) -> str:

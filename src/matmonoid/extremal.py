@@ -11,10 +11,9 @@ cross-checks everything against the radical closed forms in 37-digit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 
-from .errors import InvalidParams, WitnessMismatch, require_int, require_output_size, show
+from .errors import InvalidParams, WitnessMismatch, _Record, require_int, require_output_size, show
 from .matrix import Mat2, MonoidParams, mu, word_to_matrix
 
 __all__ = [
@@ -63,18 +62,14 @@ def _require_power(lambda1: Decimal, n: int, extra: int) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class LucasPair:
+class LucasPair(_Record):
     """(U_m, V_m) for x^2 - Px + 1: U_0=0, U_1=1, V_0=2, V_1=P.
 
     Both satisfy x_{m+1} = P*x_m - x_{m-1}; the pair is tied together by
     V_m^2 - (P^2-4)*U_m^2 = 4.
     """
 
-    P: int
-    m: int
-    U: int
-    V: int
+    __slots__ = {"P": "int", "m": "int", "U": "int", "V": "int"}
 
 
 def lucas(P: int, m: int) -> LucasPair:
@@ -234,8 +229,7 @@ def _square(x: int) -> int:
     return int.from_bytes(out, "little")
 
 
-@dataclass(frozen=True, slots=True)
-class AlphaGammaPair:
+class AlphaGammaPair(_Record):
     """State of the left-column dynamical system after n steps.
 
     gamma >= alpha holds for every n >= 1 (and at n = 0 whenever the
@@ -243,9 +237,7 @@ class AlphaGammaPair:
     (a, ua+c) does).
     """
 
-    n: int
-    alpha: int
-    gamma: int
+    __slots__ = {"n": "int", "alpha": "int", "gamma": "int"}
 
 
 def _require_start_column(a: int, c: int) -> None:
@@ -277,8 +269,7 @@ def alpha_gamma(params: MonoidParams, a: int, c: int, n: int) -> AlphaGammaPair:
     return AlphaGammaPair(n, alpha, gamma)
 
 
-@dataclass(frozen=True, slots=True)
-class ClosedFormParams:
+class ClosedFormParams(_Record):
     """Eigen data of the left-column map [[1, v], [u, 1+uv]], in 37-digit decimal.
 
     q_plus/q_minus = 2+uv +- sqrt(uv(4+uv)) are twice the eigenvalues
@@ -290,15 +281,9 @@ class ClosedFormParams:
         alpha_n = (c1*lambda1^n*p_minus - c2*lambda2^n*p_plus) / (2*sqrt(u))
     """
 
-    p_plus: Decimal
-    p_minus: Decimal
-    q_plus: Decimal
-    q_minus: Decimal
-    lambda1: Decimal
-    lambda2: Decimal
-    c1: Decimal
-    c2: Decimal
-    u: int
+    __slots__ = dict.fromkeys(
+        ("p_plus", "p_minus", "q_plus", "q_minus", "lambda1", "lambda2", "c1", "c2"), "Decimal"
+    ) | {"u": "int"}
 
     def alpha_float(self, n: int) -> Decimal:
         """alpha_n; |n| is bounded as in gamma_float."""
@@ -333,17 +318,8 @@ def closed_form_params(params: MonoidParams, a: int, c: int) -> ClosedFormParams
         # the denominator p_plus + p_minus equals 2*sqrt(v(4+uv)).
         c1 = (2 * root_u * a + p_plus * c) / (p_plus + p_minus)
         c2 = (p_minus * c - 2 * root_u * a) / (p_plus + p_minus)
-        return ClosedFormParams(
-            p_plus=p_plus,
-            p_minus=p_minus,
-            q_plus=q_plus,
-            q_minus=q_minus,
-            lambda1=q_plus / 2,
-            lambda2=q_minus / 2,
-            c1=c1,
-            c2=c2,
-            u=u,
-        )
+        lambda1, lambda2 = q_plus / 2, q_minus / 2
+        return ClosedFormParams(p_plus, p_minus, q_plus, q_minus, lambda1, lambda2, c1, c2, u)
 
 
 def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> Decimal:
@@ -447,14 +423,10 @@ def mu_depth(params: MonoidParams, n: int) -> int:
     return _combo(2 + s * t, n >> 1, alpha, beta)
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
+class Witness(_Record):
     """A depth-n word whose matrix attains the depth-n maximal entry."""
 
-    word: str
-    matrix: Mat2
-    position: tuple[int, int]
-    value: int
+    __slots__ = {"word": "str", "matrix": "Mat2", "position": "tuple[int, int]", "value": "int"}
 
 
 def witness(params: MonoidParams, n: int) -> Witness:

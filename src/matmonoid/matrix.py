@@ -12,9 +12,7 @@ integers throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotInMonoid, decimal_str, require_int, require_output_size, show
+from .errors import NotInMonoid, _Record, decimal_str, require_int, require_output_size, show
 
 __all__ = [
     "MonoidParams",
@@ -30,12 +28,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class MonoidParams:
+class MonoidParams(_Record):
     """Generator parameters (u, v), both at least 1."""
 
-    u: int
-    v: int
+    __slots__ = {"u": "int", "v": "int"}
 
     def __post_init__(self) -> None:
         require_int("u", self.u, 1)
@@ -56,14 +52,10 @@ class MonoidParams:
         return MonoidParams(self.v, self.u)
 
 
-@dataclass(frozen=True, slots=True)
-class Mat2:
+class Mat2(_Record):
     """Immutable 2x2 matrix of nonnegative integers, row-major (a, b, c, d)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = {"a": "int", "b": "int", "c": "int", "d": "int"}
 
     def __post_init__(self) -> None:
         for entry in (self.a, self.b, self.c, self.d):

@@ -11,11 +11,10 @@ from __future__ import annotations
 import functools
 import random
 from collections.abc import Callable, Generator
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import bsvhash, extremal, polydom, tree
-from .errors import InvalidParams, WitnessMismatch, require_int, show
+from .errors import InvalidParams, WitnessMismatch, _Record, require_int, show
 from .matrix import IDENTITY, MonoidParams, mu, word_to_matrix
 from .polydom import ONE, X, ZERO, PolyN, dominates
 
@@ -33,12 +32,13 @@ RNG_SEED = 20260815
 BIG_PRIME = 2**61 - 1
 
 
-@dataclass
-class CheckResult:
-    name: str
-    scope: str
-    passed: bool
-    failures: list[str] = field(default_factory=list)
+class CheckResult(_Record):
+    __slots__ = {"name": "str", "scope": "str", "passed": "bool", "failures": "list[str]"}
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, name: str, scope: str, passed: bool, failures: list[str] | None = None):
+        self.name, self.scope, self.passed = name, scope, passed
+        self.failures = [] if failures is None else failures
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

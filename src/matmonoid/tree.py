@@ -9,11 +9,10 @@ entry polynomials behind the (u,v) <-> (v,u) mirror symmetry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import starmap
 
-from .errors import IndexOutOfRange, InvalidParams, require_enum_size, show
+from .errors import IndexOutOfRange, InvalidParams, _Record, require_enum_size, show
 from .matrix import (
     IDENTITY,
     Mat2,
@@ -62,12 +61,10 @@ class DominanceClass(Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True, slots=True)
-class TreeRow:
+class TreeRow(_Record):
     """All 2^depth matrices of one tree row, left to right."""
 
-    depth: int
-    cells: tuple[Mat2, ...]
+    __slots__ = {"depth": "int", "cells": "tuple[Mat2, ...]"}
 
     def __post_init__(self) -> None:
         _require_depth(self.depth)

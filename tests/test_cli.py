@@ -435,22 +435,56 @@ def run_python(*args):
     )
 
 
-def loaded_modules(argv):
-    """The matmonoid submodules a fresh interpreter holds after cli.main(argv),
-    or after `import matmonoid` alone when argv is None."""
+def imported_modules(argv):
+    """The modules a fresh interpreter imports for cli.main(argv), or for
+    `import matmonoid` alone when argv is None. They are listed before json
+    is imported to print them."""
     script = (
-        "import contextlib, io, json, sys\n"
-        "argv = json.loads(sys.argv[1])\n"
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "import matmonoid\n"
-        "if argv is not None:\n"
+        "if len(sys.argv) > 1:\n"
         "    from matmonoid.cli import main\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('matmonoid.'))))\n"
+        "        assert main(sys.argv[1:]) == 0\n"
+        "loaded = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps(loaded))\n"
     )
-    proc = run_python("-c", script, json.dumps(argv))
+    proc = run_python("-c", script, *(argv or []))
     assert proc.returncode == 0, proc.stderr
-    return {name.removeprefix("matmonoid.") for name in json.loads(proc.stdout)}
+    return set(json.loads(proc.stdout))
+
+
+def loaded_modules(argv):
+    """The matmonoid submodules imported_modules(argv) holds."""
+    return {
+        name.removeprefix("matmonoid.")
+        for name in imported_modules(argv) if name.startswith("matmonoid.")
+    }
+
+
+UV = ["--u", "2", "--v", "3"]
+HASH = ["hash", *UV, "--p", "101", "--input", os.devnull]
+# Each command, by a short name.
+COMMANDS = {
+    "mu": ["mu", *UV, "--depth", "10"],
+    "mu-witness": ["mu", *UV, "--depth", "10", "--method", "witness"],
+    "mu-brute": ["mu", *UV, "--depth", "4", "--method", "brute"],
+    "witness-text": ["witness", *UV, "--depth", "10"],
+    "witness-json": ["witness", *UV, "--depth", "10", "--format", "json"],
+    "bound": ["bound", *UV, "--p", "101"],
+    "hash-hex": [*HASH, "--format", "hex"],
+    "hash-json": [*HASH, "--format", "json"],
+    "tree": ["tree", *UV, "--depth", "2"],
+    "verify": ["verify", "--max-depth", "2"],
+}
+
+
+def commands(*names):
+    return pytest.mark.parametrize(
+        "argv", [COMMANDS[name] for name in names or COMMANDS], ids=names or list(COMMANDS)
+    )
 
 
 class TestImportOnDemand:
@@ -480,6 +514,14 @@ class TestImportOnDemand:
     ])
     def test_tree_and_brute_load_the_tree(self, argv):
         assert loaded_modules(argv) == {"cli", "errors", "matrix", "polydom", "tree"}
+
+    @commands()
+    def test_no_command_loads_dataclasses_or_inspect(self, argv):
+        assert not imported_modules(argv) & {"dataclasses", "inspect"}
+
+    @commands("mu", "bound", "hash-hex")
+    def test_json_loads_only_to_print_json(self, argv):
+        assert "json" not in imported_modules(argv)
 
     def test_package_never_imports_the_cli(self):
         # Were cli in sys.modules before `-m matmonoid.cli` ran it, runpy would warn.
