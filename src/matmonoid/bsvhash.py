@@ -391,9 +391,7 @@ def _first_collision(params: HashParams, max_len: int) -> tuple[str, str] | None
     return None
 
 
-def exhaustive_collision_check(
-    params: HashParams, max_len: int, limit: int | None = None
-) -> tuple[str, str] | None:
+def exhaustive_collision_check(params: HashParams, max_len: int) -> tuple[str, str] | None:
     """Search all bit strings of length 0..max_len for a digest collision.
 
     Strings are visited in shortlex order (by length, then lexicographic);
@@ -411,7 +409,7 @@ def exhaustive_collision_check(
     """
     require_int("max_len", max_len, 0)
     require_enum_size(
-        f"max_len {show(max_len)} needs", max_len + 1, "- 1 states", limit, DEFAULT_COLLISION_LIMIT
+        f"max_len {show(max_len)} needs", max_len + 1, "- 1 states", DEFAULT_COLLISION_LIMIT
     )
     if _distinct_fingerprints(params, max_len):
         return None

@@ -112,13 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(args: argparse.Namespace) -> str | bytes:
-    """The --input file or stdin: ASCII text for ascii01, raw bytes for bytes-msb."""
-    if args.bits == "ascii01":
-        if args.input == "-":
-            return sys.stdin.read()
-        with open(args.input, "r", encoding="ascii") as fh:
-            return fh.read()
+def _read_input(args: argparse.Namespace) -> bytes:
+    """The raw bytes of the --input file, or of stdin."""
     if args.input == "-":
         return sys.stdin.buffer.read()
     with open(args.input, "rb") as fh:
@@ -130,7 +125,7 @@ def _cmd_hash(args: argparse.Namespace) -> int:
     params = bsvhash.HashParams(args.u, args.v, args.p)
     data = _read_input(args)
     if args.bits == "ascii01":
-        digest = bsvhash.hash_string(params, bsvhash._ascii01_digits(data))
+        digest = bsvhash.hash_string(params, bsvhash._ascii01_digits(data.decode("ascii")))
     else:
         digest = bsvhash.HashState(params).update_bytes(data).digest()
     if args.format == "hex":

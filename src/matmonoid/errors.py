@@ -174,20 +174,16 @@ def _cap(env: str, default: int) -> int:
         raise LimitExceeded(f"{env} must be an integer, got {value!r}") from None
 
 
-def require_enum_size(what: str, k: int, noun: str, limit: int | None, default: int) -> None:
-    """Raise LimitExceeded if 2^k is above the cap: limit, else MATMONOID_ENUM_LIMIT, else default.
+def require_enum_size(what: str, k: int, noun: str, default: int) -> None:
+    """Raise LimitExceeded if 2^k is above the cap: MATMONOID_ENUM_LIMIT, else default.
 
     2^k > cap exactly when cap < 1 or k >= cap.bit_length(), so 2^k is never built.
     """
-    cap = limit
-    if limit is None:
-        cap = _cap(ENUM_LIMIT_ENV, default)
-    elif type(limit) is not int:
-        raise InvalidParams(f"limit must be an integer, got {limit!r}")
+    cap = _cap(ENUM_LIMIT_ENV, default)
     if cap < 1 or k >= cap.bit_length():
         raise LimitExceeded(
             f"{what} 2^{show(k)} {noun}, above the limit of {show(cap)}; "
-            f"raise it with limit= or {ENUM_LIMIT_ENV}"
+            f"raise it with {ENUM_LIMIT_ENV}"
         )
 
 

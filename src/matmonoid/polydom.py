@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import decimal_str, require_int
+from .errors import _Record, decimal_str, require_int, require_output_size
 from .matrix import validate_word
 
 __all__ = [
@@ -31,14 +31,14 @@ __all__ = [
 ]
 
 
-class PolyN:
+class PolyN(_Record):
     """Univariate polynomial with natural-number coefficients.
 
     Coefficients are stored low to high; index i is the coefficient of
     x^i. The zero polynomial stores nothing and has degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = {"coeffs": "tuple[int, ...]"}
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cs = list(coeffs)
@@ -51,9 +51,6 @@ class PolyN:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PolyN is immutable")
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -61,12 +58,6 @@ class PolyN:
     def coefficient(self, i: int) -> int:
         """[f]_i, zero beyond the stored degree."""
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolyN) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -90,6 +81,7 @@ class PolyN:
         require_int("shift", k, 0)
         if not self.coeffs:
             return self
+        require_output_size(8 * k, "bytes", "the shift by x^{} needs about", k)
         return PolyN((0,) * k + self.coeffs)
 
     def scale(self, c: int) -> "PolyN":
@@ -247,7 +239,7 @@ def pascal_merge_check(a: int, b: int) -> bool:
     return lhs == rhs
 
 
-class BiPolyN:
+class BiPolyN(_Record):
     """Bivariate polynomial in (X, Y) with natural coefficients.
 
     Stored as a map from exponent pairs (i, j) to nonzero coefficients.
@@ -255,7 +247,7 @@ class BiPolyN:
     is provided.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = {"coeffs": "dict[tuple[int, int], int]"}
 
     def __init__(self, coeffs: dict[tuple[int, int], int] | None = None) -> None:
         clean: dict[tuple[int, int], int] = {}
@@ -268,15 +260,9 @@ class BiPolyN:
                 clean[(i, j)] = c
         object.__setattr__(self, "coeffs", clean)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BiPolyN is immutable")
-
     @classmethod
     def constant(cls, c: int) -> "BiPolyN":
         return cls({(0, 0): c})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiPolyN) and self.coeffs == other.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

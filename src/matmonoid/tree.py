@@ -12,7 +12,9 @@ from __future__ import annotations
 from enum import Enum
 from itertools import starmap
 
-from .errors import IndexOutOfRange, InvalidParams, _Record, require_enum_size, show
+from .errors import (
+    IndexOutOfRange, InvalidParams, _Record, require_enum_size, require_output_size, show
+)
 from .matrix import (
     IDENTITY,
     Mat2,
@@ -106,15 +108,15 @@ def _require_cell(n: int, i: int) -> None:
         raise IndexOutOfRange(f"cell index {show(i)} out of range 1..2^{show(n)}")
 
 
-def require_row(n: int, limit: int | None = None) -> None:
+def require_row(n: int) -> None:
     """Check that row n can be enumerated: a depth whose 2^n cells are within the cap."""
     _require_depth(n)
-    require_enum_size(f"row at depth {show(n)} has", n, "cells", limit, DEFAULT_ROW_LIMIT)
+    require_enum_size(f"row at depth {show(n)} has", n, "cells", DEFAULT_ROW_LIMIT)
 
 
-def _row_cells(root: Mat2, params: MonoidParams, n: int, limit: int | None) -> list:
+def _row_cells(root: Mat2, params: MonoidParams, n: int) -> list:
     """The 2^n depth-n descendants of root as (a, b, c, d), left to right."""
-    require_row(n, limit)
+    require_row(n)
     u, v = params.u, params.v
     cells = [(root.a, root.b, root.c, root.d)]
     for _ in range(n):
@@ -126,18 +128,18 @@ def _row_cells(root: Mat2, params: MonoidParams, n: int, limit: int | None) -> l
     return cells
 
 
-def row(root: Mat2, params: MonoidParams, n: int, limit: int | None = None) -> TreeRow:
+def row(root: Mat2, params: MonoidParams, n: int) -> TreeRow:
     """All 2^n depth-n descendants of root, in left-to-right order."""
-    return TreeRow(n, tuple(starmap(Mat2, _row_cells(root, params, n, limit))))
+    return TreeRow(n, tuple(starmap(Mat2, _row_cells(root, params, n))))
 
 
-def mu_row_bruteforce(params: MonoidParams, n: int, limit: int | None = None) -> int:
+def mu_row_bruteforce(params: MonoidParams, n: int) -> int:
     """Exact max entry over all 2^n depth-n matrices, by enumeration.
 
     This is the trusted-but-slow reference the closed forms are checked
     against.
     """
-    return max(map(max, _row_cells(IDENTITY, params, n, limit)))
+    return max(map(max, _row_cells(IDENTITY, params, n)))
 
 
 def cell(n: int, i: int, params: MonoidParams) -> Mat2:
@@ -157,6 +159,7 @@ def cell_word(n: int, i: int) -> str:
     outward, so the left-to-right word is the path read leaf-to-root.
     """
     _require_cell(n, i)
+    require_output_size(n, "letters", "the word of a cell at depth {} has", n)
     return format(i - 1, f"0{n}b")[::-1].translate(_BITS_TO_LETTERS) if n else ""
 
 

@@ -21,6 +21,7 @@ from matmonoid import (
     fseq,
     IDENTITY,
     ONE,
+    X,
     LimitExceeded,
     bsvhash,
     closed_form_params,
@@ -53,7 +54,7 @@ from matmonoid.errors import (
     require_int,
     show,
 )
-from matmonoid.tree import cell_word
+from matmonoid.tree import cell, cell_word
 
 MODULES = (bsvhash, errors, extremal, matrix, polydom, tree)
 
@@ -143,25 +144,25 @@ class TestRequireEnumSize:
     def test_refuses_exactly_when_two_to_the_k_exceeds_the_cap(self, cap, monkeypatch):
         monkeypatch.setenv(ENUM_LIMIT_ENV, str(cap))
         for k in range(71):
-            for limit in (cap, None):
-                try:
-                    require_enum_size("x has", k, "items", limit, 1)
-                    refused = False
-                except LimitExceeded:
-                    refused = True
-                assert refused == (1 << k > cap), (k, cap, limit)
+            try:
+                require_enum_size("x has", k, "items", 1)
+                refused = False
+            except LimitExceeded:
+                refused = True
+            assert refused == (1 << k > cap), (k, cap)
 
-    def test_message_names_the_size_the_cap_and_both_knobs(self):
+    def test_message_names_the_size_the_cap_and_the_knob(self, monkeypatch):
+        monkeypatch.setenv(ENUM_LIMIT_ENV, "4")
         with pytest.raises(LimitExceeded) as exc:
-            require_enum_size("row at depth 3 has", 3, "cells", 4, 2**20)
+            require_enum_size("row at depth 3 has", 3, "cells", 2**20)
         assert str(exc.value) == (
             "row at depth 3 has 2^3 cells, above the limit of 4; "
-            "raise it with limit= or MATMONOID_ENUM_LIMIT"
+            "raise it with MATMONOID_ENUM_LIMIT"
         )
 
     def test_huge_size_is_refused_without_building_it(self):
         with pytest.raises(LimitExceeded, match=r"^x has 2\^1000000000000 items"):
-            require_enum_size("x has", 10**12, "items", None, 2**20)
+            require_enum_size("x has", 10**12, "items", 2**20)
 
 
 # Each exact answer as a function of its depth or index n, an n past the
@@ -174,6 +175,13 @@ GUARDED = [
     pytest.param(lambda n: fseq(P23, n), 400_000, 75_000, id="fseq"),
     pytest.param(lambda n: alpha_gamma(P23, 1, 2, n), 200_000, 75_000, id="alpha_gamma"),
     pytest.param(lambda n: witness(P23, n), 100_000, 100_000, id="witness"),
+]
+# Each call that builds n letters or n tuple slots (8 bytes a slot), with
+# the same n and size; it refuses past the cap before building.
+BUILDS = [
+    pytest.param(lambda n: cell_word(n, 1), 100_000, 100_000, id="cell_word"),
+    pytest.param(lambda n: cell(n, 1, P23), 100_000, 100_000, id="cell"),
+    pytest.param(lambda n: X.shift(n), 100_000, 800_000, id="PolyN.shift"),
 ]
 
 
@@ -188,7 +196,17 @@ class TestRequireOutputSize:
                                            f"bytes; raise it with {OUTPUT_LIMIT_ENV}")
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("call,n,size", GUARDED)
+    @pytest.mark.parametrize("call,n,size", BUILDS)
+    def test_refuses_a_huge_build_with_the_typed_error(self, call, n, size):
+        # Unguarded, 2^70 failed inside the build: a format width past the
+        # digit limit, or a repeat count past sys.maxsize.
+        for huge in (2**70, 10**400):
+            with pytest.raises(LimitExceeded) as exc:
+                call(huge)
+            assert str(exc.value).endswith(f"more than the limit of {DEFAULT_OUTPUT_LIMIT} "
+                                           f"bytes; raise it with {OUTPUT_LIMIT_ENV}")
+
+    @pytest.mark.parametrize("call,n,size", GUARDED + BUILDS)
     def test_the_knob_moves_the_cap(self, call, n, size, monkeypatch):
         assert size > OUTPUT_FLOOR
         monkeypatch.setenv(OUTPUT_LIMIT_ENV, str(size - 16))
@@ -230,7 +248,6 @@ class TestRequireOutputSize:
     pytest.param(lambda: h_poly(1.5), InvalidParams, id="h_poly"),
     pytest.param(lambda: pascal_merge_check(1.5, 2), InvalidParams, id="pascal_merge_check"),
     pytest.param(lambda: ONE.shift(1.5), InvalidParams, id="PolyN.shift"),
-    pytest.param(lambda: row(IDENTITY, P23, 2, limit=16.0), InvalidParams, id="row-limit"),
     pytest.param(lambda: BiPolyN({(0.5, 0): 1}), InvalidParams, id="BiPolyN-exponent-float"),
     pytest.param(lambda: BiPolyN({(0, True): 1}), InvalidParams, id="BiPolyN-exponent-bool"),
     pytest.param(lambda: BiPolyN.constant(1).shift(1.5, 0), InvalidParams, id="BiPolyN.shift-float"),
@@ -257,9 +274,9 @@ needs_digit_cap = pytest.mark.skipif(
     pytest.param(lambda: lucas(-HUGE, 3), InvalidParams, id="lucas"),
     pytest.param(lambda: MonoidParams(-HUGE, 1), InvalidParams, id="MonoidParams"),
     pytest.param(lambda: HashParams(2, 3, HUGE), InvalidParams, id="HashParams"),
-    pytest.param(lambda: row(IDENTITY, P23, 2, limit=-HUGE), LimitExceeded, id="row-limit"),
+    pytest.param(lambda: row(IDENTITY, P23, HUGE), LimitExceeded, id="row-limit"),
     pytest.param(
-        lambda: exhaustive_collision_check(HP235, 3, limit=-HUGE), LimitExceeded,
+        lambda: exhaustive_collision_check(HP235, HUGE), LimitExceeded,
         id="collision_check-limit",
     ),
     pytest.param(lambda: factor(Mat2(HUGE, 1, 1, 1), P23), NotInMonoid, id="factor"),

@@ -50,7 +50,7 @@ class TestHashCommand:
         assert (code, out, err) == (0, "00010403\n", "")
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("0 11 0\n0"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0 11 0\n0")))
         code, out, _ = run(capsys, ["hash", "--u", "2", "--v", "3", "--p", "5"])
         assert (code, out) == (0, "00010403\n")
 
@@ -110,12 +110,25 @@ class TestHashCommand:
         assert (code, out) == (1, "")
         assert err == "error: invalid character '2'; expected '0', '1', or whitespace\n"
 
+    @pytest.mark.parametrize("payload", [b"01\xd9\xa0", b"01\xff", b"0\xc2\xa01"])
+    def test_non_ascii_fails_alike_from_stdin_and_file(self, capsys, monkeypatch, tmp_path,
+                                                        payload):
+        path = tmp_path / "bits.txt"
+        path.write_bytes(payload)
+        argv = ["hash", "--u", "2", "--v", "3", "--p", "5"]
+        from_file = run(capsys, [*argv, "--input", str(path)])
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload)))
+        assert run(capsys, argv) == from_file
+        code, out, err = from_file
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 'ascii' codec can't decode byte 0x")
+
     @pytest.mark.parametrize("text", ["", " \n\t", "1", "0 1\n1\t0\x0b1\x0c0\r1 1 0"])
     def test_ascii01_digits_hash_like_the_bit_list(self, capsys, monkeypatch, text):
         from matmonoid import HashParams, bits_from_ascii01, digest_hex, hash_string
         hp = HashParams(2, 3, 101)
         expected = digest_hex(hash_string(hp, bits_from_ascii01(text)), hp)
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode("ascii"))))
         code, out, err = run(capsys, ["hash", "--u", "2", "--v", "3", "--p", "101"])
         assert (code, out, err) == (0, expected + "\n", "")
 
@@ -325,7 +338,7 @@ class TestVerifyCommand:
     def test_failure_report(self, capsys, monkeypatch):
         true_maximum = tree.mu_row_bruteforce
         monkeypatch.setattr(
-            tree, "mu_row_bruteforce", lambda params, n, limit=None: true_maximum(params, n) + 1
+            tree, "mu_row_bruteforce", lambda params, n: true_maximum(params, n) + 1
         )
         code, out, _ = run(capsys, ["verify", "--suite", "formulas", "--max-depth", "3"])
         assert code == 1

@@ -31,6 +31,7 @@ from matmonoid import (
 )
 from matmonoid import bsvhash
 from matmonoid.bsvhash import _extra_strong_lucas, _jacobi, _miller_rabin_witness, _split_two
+from matmonoid.errors import ENUM_LIMIT_ENV
 from matmonoid.extremal import _ladder
 from test_acceptance import PRIME_2048
 from test_extremal import collision_horizon_by_search
@@ -616,9 +617,10 @@ class TestExhaustiveCollisionCheck:
         assert first != second
         assert hash_string(HP235, first) == hash_string(HP235, second)
 
-    def test_limit_gate(self):
+    def test_limit_gate(self, monkeypatch):
+        monkeypatch.setenv(ENUM_LIMIT_ENV, "16")
         with pytest.raises(LimitExceeded):
-            exhaustive_collision_check(HP235, 10, limit=16)
+            exhaustive_collision_check(HP235, 10)
 
     def test_env_var_limit(self, monkeypatch):
         monkeypatch.setenv("MATMONOID_ENUM_LIMIT", "16")

@@ -1,6 +1,7 @@
 """The contract of the ten value classes: repr, equality, hashing,
 construction, immutability (all but CheckResult), copying, pickling,
-pattern matching and the validation each constructor runs."""
+pattern matching and the validation each constructor runs; and of the two
+polynomial classes on the same base, which keep their own constructors."""
 import copy
 import inspect
 import pickle
@@ -15,6 +16,7 @@ from matmonoid.bsvhash import Digest, HashParams
 from matmonoid.errors import IndexOutOfRange, InvalidParams
 from matmonoid.extremal import AlphaGammaPair, ClosedFormParams, LucasPair, Witness
 from matmonoid.matrix import Mat2, MonoidParams
+from matmonoid.polydom import ZERO, BiPolyN, PolyN, X, f_poly
 from matmonoid.suites import CheckResult
 from matmonoid.tree import TreeRow
 
@@ -181,6 +183,35 @@ class TestCheckResult:
         result = CheckResult("n", "s", False, ["x"])
         assert copy.deepcopy(result).failures is not result.failures
         assert copy.copy(result).failures is result.failures
+
+
+POLYS = [X, ZERO, f_poly(5), BiPolyN({(1, 0): 2, (0, 3): 1})]
+
+
+@pytest.mark.parametrize("poly", POLYS, ids=["X", "ZERO", "f_poly(5)", "BiPolyN"])
+class TestPolynomialRecords:
+    def test_copy_deepcopy_pickle(self, poly):
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        pickled = [pickle.loads(pickle.dumps(poly, p)) for p in protocols]
+        for twin in (copy.copy(poly), copy.deepcopy(poly), *pickled):
+            assert type(twin) is type(poly) and twin == poly and twin is not poly
+
+    def test_coeffs_cannot_be_assigned_or_deleted(self, poly):
+        before = poly.coeffs
+        with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
+            poly.coeffs = before
+        with pytest.raises(AttributeError, match="cannot delete field 'coeffs'"):
+            del poly.coeffs
+        assert poly.coeffs is before
+
+    def test_hashing(self, poly):
+        if isinstance(poly, BiPolyN):
+            with pytest.raises(TypeError, match="unhashable type: 'BiPolyN'"):
+                hash(poly)
+        else:
+            twin = PolyN(list(poly.coeffs) + [0])
+            assert twin is not poly and hash(twin) == hash(poly)
+            assert len({poly, twin}) == 1
 
 
 # (class, arguments, exception type, message)

@@ -30,6 +30,7 @@ from matmonoid import (
     word_to_matrix,
 )
 from matmonoid import suites
+from matmonoid.errors import ENUM_LIMIT_ENV
 
 P23 = MonoidParams(2, 3)
 
@@ -116,10 +117,11 @@ class TestEnumerationLimits:
         with pytest.raises(LimitExceeded):
             row(IDENTITY, P23, 21)
 
-    def test_explicit_limit(self):
+    def test_cap_admits_a_row_of_exactly_its_size(self, monkeypatch):
+        monkeypatch.setenv(ENUM_LIMIT_ENV, "16")
         with pytest.raises(LimitExceeded):
-            row(IDENTITY, P23, 5, limit=16)
-        assert len(row(IDENTITY, P23, 4, limit=16)) == 16
+            row(IDENTITY, P23, 5)
+        assert len(row(IDENTITY, P23, 4)) == 16
 
     def test_env_var_lowers_the_cap(self, monkeypatch):
         monkeypatch.setenv("MATMONOID_ENUM_LIMIT", "8")
@@ -127,18 +129,15 @@ class TestEnumerationLimits:
             row(IDENTITY, P23, 4)
         assert len(row(IDENTITY, P23, 3)) == 8
 
-    def test_explicit_limit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("MATMONOID_ENUM_LIMIT", "8")
-        assert len(row(IDENTITY, P23, 4, limit=16)) == 16
-
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("MATMONOID_ENUM_LIMIT", "lots")
         with pytest.raises(LimitExceeded):
             row(IDENTITY, P23, 2)
 
-    def test_bruteforce_respects_limit(self):
+    def test_bruteforce_respects_limit(self, monkeypatch):
+        monkeypatch.setenv(ENUM_LIMIT_ENV, "16")
         with pytest.raises(LimitExceeded):
-            mu_row_bruteforce(P23, 5, limit=16)
+            mu_row_bruteforce(P23, 5)
 
     @pytest.mark.parametrize("n", [20000, 10**8])
     def test_deep_rows_name_the_knob(self, n):
@@ -146,7 +145,7 @@ class TestEnumerationLimits:
         # neither write it out nor fail on the conversion.
         with pytest.raises(LimitExceeded, match=f"2\\^{n} cells.*MATMONOID_ENUM_LIMIT"):
             row(IDENTITY, P23, n)
-        with pytest.raises(LimitExceeded, match="limit= or MATMONOID_ENUM_LIMIT"):
+        with pytest.raises(LimitExceeded, match="; raise it with MATMONOID_ENUM_LIMIT$"):
             mu_row_bruteforce(P23, n)
 
 
