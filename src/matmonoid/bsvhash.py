@@ -8,7 +8,6 @@ the horizon comes straight from the exact maximal-entry sequence.
 """
 from __future__ import annotations
 
-import copy
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
@@ -252,8 +251,6 @@ class HashState:
 
     def digest(self) -> Digest:
         return Digest(self.a, self.b, self.c, self.d)
-
-    copy = copy.copy  # every field is an int or the frozen params
 
 
 @lru_cache(maxsize=64)

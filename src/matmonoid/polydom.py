@@ -9,6 +9,7 @@ of the two alternating word families that compete for the maximum.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator
 
@@ -67,8 +68,6 @@ class PolyN(_Record):
         return PolyN(self.coefficient(i) + other.coefficient(i) for i in range(n))
 
     def __mul__(self, other: "PolyN") -> "PolyN":
-        if not self.coeffs or not other.coeffs:
-            return PolyN()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if ci:
@@ -98,31 +97,20 @@ class PolyN(_Record):
 
     def suffix_sums(self) -> tuple[int, ...]:
         """(S_0, ..., S_deg) with S_N the sum of coefficients of x^N and above."""
-        out = []
-        total = 0
-        for c in reversed(self.coeffs):
-            total += c
-            out.append(total)
-        return tuple(reversed(out))
+        return tuple(accumulate(reversed(self.coeffs)))[::-1]
 
     def __repr__(self) -> str:
         body = ", ".join(map(decimal_str, self.coeffs))
         return f"PolyN(({body}{',' if len(self.coeffs) == 1 else ''}))"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(decimal_str(c))
-            else:
-                xi = "x" if i == 1 else f"x^{i}"
-                parts.append(xi if c == 1 else decimal_str(c) + xi)
-        return " + ".join(parts)
+            if c:
+                xi = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+                parts.append(xi if c == 1 and i else decimal_str(c) + xi)
+        return " + ".join(parts) or "0"
 
 
 ZERO = PolyN()
@@ -150,6 +138,13 @@ def _binom(n: int, k: int) -> int:
     return comb(n, k) if 0 <= k <= n else 0
 
 
+def _require_family(n: int, low: int) -> None:
+    """Check n >= low and size f/g/h/i_poly(n) before any binomial: n + 1 coefficients
+    of at most about 1.4*n bits, as they sum to a Fibonacci number near phi^(2n)."""
+    require_int("n", n, low)
+    require_output_size((n + 1) * n * 7 // 40, "bytes", "the polynomial at n = {} has about", n)
+
+
 def _from_terms(terms: Iterable[tuple[int, int]]) -> PolyN:
     pairs = [(p, c) for p, c in terms if c]
     out = [0] * (max(p for p, _ in pairs) + 1)
@@ -164,7 +159,7 @@ def f_poly(n: int) -> PolyN:
     Closed form: sum over i of C(2n-i, i) x^(n-i). Satisfies the
     recurrence f(n+1) = f(n) + g(n) from f(0) = 1.
     """
-    require_int("n", n, 0)
+    _require_family(n, 0)
     return _from_terms((n - i, _binom(2 * n - i, i)) for i in range(n + 1))
 
 
@@ -174,7 +169,7 @@ def g_poly(n: int) -> PolyN:
     Closed form: sum over i of C(2n+1-i, i) x^(n+1-i). Satisfies
     g(n+1) = x*f(n+1) + g(n) from g(0) = x.
     """
-    require_int("n", n, 0)
+    _require_family(n, 0)
     return _from_terms((n + 1 - i, _binom(2 * n + 1 - i, i)) for i in range(n + 1))
 
 
@@ -184,7 +179,7 @@ def h_poly(n: int) -> PolyN:
     Closed form: sum over i of (C(2n-i, i) + C(2n-1-i, i)) x^(n-i).
     Satisfies h(n+1) = (1+x)h(n) + i(n) from h(1) = 2x+1.
     """
-    require_int("n", n, 1)
+    _require_family(n, 1)
     return _from_terms(
         (n - i, _binom(2 * n - i, i) + _binom(2 * n - 1 - i, i)) for i in range(n + 1)
     )
@@ -196,7 +191,7 @@ def i_poly(n: int) -> PolyN:
     Closed form: sum over i < n of (C(2n-1-i, i) + C(2n-2-i, i)) x^(n-i).
     Satisfies i(n+1) = x*h(n) + i(n) from i(1) = 2x.
     """
-    require_int("n", n, 1)
+    _require_family(n, 1)
     return _from_terms(
         (n - i, _binom(2 * n - 1 - i, i) + _binom(2 * n - 2 - i, i)) for i in range(n)
     )
@@ -288,6 +283,10 @@ class BiPolyN(_Record):
     def __call__(self, x: int, y: int) -> int:
         require_int("evaluation point", x, 0)
         require_int("evaluation point", y, 0)
+        # At most about mi*log2(x) + mj*log2(y) bits, for the largest exponents mi and mj.
+        mi, mj = map(max, zip(*self.coeffs)) if self.coeffs else (0, 0)
+        size = mi * max(x - 1, 0).bit_length() + mj * max(y - 1, 0).bit_length() >> 3
+        require_output_size(size, "bytes", "the value at ({}, {}) has about", x, y)
         return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
 
     @property

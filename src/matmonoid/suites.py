@@ -236,8 +236,7 @@ def check_entry_poly_flip(max_depth: int) -> _Failures:
 @_check("left-half-dominance")
 def check_left_half_dominance(max_depth: int) -> _Failures:
     depth = min(max_depth, 12)
-    pairs = [(u, v) for u, v in NARROW_GRID if u >= v]
-    for u, v in pairs:
+    for u, v in [(u, v) for u, v in NARROW_GRID if u >= v]:
         params = MonoidParams(u, v)
         for n in range(1, depth + 1):
             mus = [mu(m) for m in tree.row(IDENTITY, params, n)]
@@ -255,8 +254,7 @@ def check_column_max(max_depth: int) -> _Failures:
     for u, v in NARROW_GRID:
         params = MonoidParams(u, v)
         for n in range(1, depth + 1):
-            for letters in product("LR", repeat=n):
-                word = "".join(letters)
+            for word in map("".join, product("LR", repeat=n)):
                 m = word_to_matrix(word, params)
                 expect = max(m.a, m.c) if word.endswith("L") else max(m.b, m.d)
                 if mu(m) != expect:
@@ -274,10 +272,7 @@ def check_single_peel_class(max_depth: int) -> _Failures:
         for n in range(1, depth + 1):
             for m in tree.row(IDENTITY, params, n):
                 cls = tree.classify(m, params)
-                if cls not in (
-                    tree.DominanceClass.U_LOWER_DOMINANT,
-                    tree.DominanceClass.V_UPPER_DOMINANT,
-                ):
+                if cls in (tree.DominanceClass.BOTH, tree.DominanceClass.NEITHER):
                     yield f"u={u} v={v} n={n}: {m.rows()} classified {cls.name}"
     return f"(u,v) in [1..3]^2, depth 1..{depth}: exactly one generator peels"
 
@@ -287,8 +282,7 @@ def check_entry_poly_structure(max_depth: int) -> _Failures:
     depth = min(max_depth, 10)
     eval_points = [(2, 3), (1, 4)]
     for n in range(depth + 1):
-        for letters in product("LR", repeat=n):
-            word = "".join(letters)
+        for word in map("".join, product("LR", repeat=n)):
             (f1, f2), (f3, f4) = tree.entry_polys(word)
             ok = (
                 all(i == j for (i, j), _ in f1.terms())
@@ -412,14 +406,12 @@ def check_order_laws(n_pairs: int = 2000, seed: int = RNG_SEED) -> _Failures:
 @_check("order-implies-pointwise")
 def check_order_implies_pointwise(n_pairs: int = 2000, seed: int = RNG_SEED) -> _Failures:
     rng = random.Random(seed + 1)
-    checked = 0
     for _ in range(n_pairs):
         f, g = _dominating_pair(rng)
-        checked += 1
         for r in range(1, 11):
             if f(r) < g(r):
                 yield f"{f} dominates {g} but f({r}) < g({r})"
-    return f"{checked} dominating pairs evaluated at r = 1..10"
+    return f"{n_pairs} dominating pairs evaluated at r = 1..10"
 
 
 @_check("pointwise-converse-regression")
@@ -498,8 +490,7 @@ def check_fibonacci_poly_link(n_max: int = 6) -> _Failures:
     for n in range(1, n_max + 1):
         f = polydom.f_poly(n)
         spread = [0] * (2 * f.degree + 1)
-        for k, coeff in enumerate(f.coeffs):
-            spread[2 * k] = coeff
+        spread[::2] = f.coeffs
         if PolyN(spread) != fib[2 * n + 1]:
             yield f"n={n}: f_poly(x^2) != fibonacci poly 2n+1"
     return f"f_poly(x^2) vs odd-index Fibonacci polynomial, n <= {n_max}"

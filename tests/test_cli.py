@@ -526,7 +526,7 @@ class TestImportOnDemand:
         ["mu", "--u", "2", "--v", "3", "--depth", "4", "--method", "brute"],
     ])
     def test_tree_and_brute_load_the_tree(self, argv):
-        assert loaded_modules(argv) == {"cli", "errors", "matrix", "polydom", "tree"}
+        assert loaded_modules(argv) == {"cli", "errors", "matrix", "tree"}
 
     @commands()
     def test_no_command_loads_dataclasses_or_inspect(self, argv):

@@ -1,6 +1,7 @@
 """Shear-product hashing into SL2(F_p): primality gate, streaming state,
 digest serialization, and the exhaustive collision search."""
 import builtins
+import copy
 import random
 import re
 import sys
@@ -299,7 +300,7 @@ class TestHashState:
 
     def test_copy_is_independent(self):
         state = HashState(HP235).update([0, 1])
-        clone = state.copy()
+        clone = copy.copy(state)
         state.update_bit(1)
         assert clone.digest() == Digest(1, 3, 2, 2)
         assert clone.bits_consumed == 2
@@ -424,7 +425,7 @@ class TestByteTableKernel:
     def test_table_matches_the_per_bit_construction(self, hp):
         states = [HashState(hp)]
         for _ in range(8):
-            states = [s.copy().update_bit(bit) for s in states for bit in (0, 1)]
+            states = [copy.copy(s).update_bit(bit) for s in states for bit in (0, 1)]
         assert bsvhash._byte_table(hp) == tuple((s.a, s.b, s.c, s.d) for s in states)
 
     def test_generators_and_bytes_take_the_per_bit_path(self):

@@ -1,17 +1,23 @@
 """Natural-coefficient polynomials, the dominance order, and the four
 binomial families tied to left columns of alternating shear words."""
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import matmonoid
 from matmonoid import (
     ONE,
     X,
     ZERO,
     BiPolyN,
     InvalidParams,
+    LimitExceeded,
     MonoidParams,
     PolyN,
     dominates,
@@ -23,6 +29,8 @@ from matmonoid import (
     pascal_merge_check,
     word_to_matrix,
 )
+from matmonoid import polydom
+from matmonoid.errors import OUTPUT_LIMIT_ENV
 
 polys = st.lists(st.integers(0, 9), max_size=9).map(PolyN)
 
@@ -232,6 +240,14 @@ class TestFamilies:
         with pytest.raises(ValueError):
             i_poly(0)
 
+    # Each answer would take some 1.75e17 bytes; the refusal comes before any binomial.
+    @pytest.mark.parametrize("family", [f_poly, g_poly, h_poly, i_poly])
+    def test_huge_index_is_refused_at_once(self, monkeypatch, family):
+        monkeypatch.setattr(polydom, "_binom", lambda n, k: pytest.fail("a binomial was computed"))
+        with pytest.raises(LimitExceeded, match=f"^the polynomial at n = {10**9} has about .*"
+                           f"raise it with {OUTPUT_LIMIT_ENV}$"):
+            family(10**9)
+
     def test_binomial_forms_match_recurrences_to_20(self):
         fs, gs, hs, is_ = families_by_recurrence(20)
         for n in range(21):
@@ -356,6 +372,33 @@ class TestBiPolyN:
             with pytest.raises(InvalidParams) as exc:
                 f(x, y)
             assert str(exc.value) == f"evaluation point must be a nonnegative integer, got {bad!r}"
+
+    def test_huge_value_is_refused_before_evaluation(self):
+        # 3^(2^70) has about 1.9e21 bits; unguarded, pow would run until memory ran out.
+        script = (
+            "from matmonoid import BiPolyN, LimitExceeded\n"
+            "try:\n"
+            "    BiPolyN({(2**70, 0): 1})(3, 1)\n"
+            "except LimitExceeded as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(matmonoid.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        limit = 1_000_000 * 1024
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("the value at (3, 1) has about ")
+        assert proc.stdout.endswith(f"raise it with {OUTPUT_LIMIT_ENV}\n")
+
+    def test_evaluation_at_zero_and_one_is_not_sized_by_the_exponent(self):
+        f = BiPolyN({(2**70, 0): 2, (0, 2**70): 3, (1, 1): 1})
+        assert f(1, 1) == 6
+        assert f(0, 1) == 3
+        assert f(1, 0) == 2
 
     def test_repr_is_the_sorted_dict_form(self):
         for f in (BiPolyN(), BiPolyN({(1, 1): 1, (0, 0): 1, (0, 2): 5})):

@@ -1,11 +1,17 @@
 """Tree rows, random cell access, vertex classification, and the
 antitranspose / entry-polynomial symmetries."""
 import itertools
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import matmonoid
 from matmonoid import (
     IDENTITY,
     BiPolyN,
@@ -29,8 +35,9 @@ from matmonoid import (
     row,
     word_to_matrix,
 )
-from matmonoid import suites
+from matmonoid import suites, tree
 from matmonoid.errors import ENUM_LIMIT_ENV
+from matmonoid.extremal import mu_depth
 
 P23 = MonoidParams(2, 3)
 
@@ -160,6 +167,70 @@ class TestMuRowBruteforce:
     @pytest.mark.parametrize("n", range(7))
     def test_matches_row_scan(self, n):
         assert mu_row_bruteforce(P23, n) == max(mu(m) for m in row(IDENTITY, P23, n))
+
+
+def plain_maxima(params, depth):
+    """Max entry of each row 0..depth, from a plain enumeration of 4-tuples."""
+    u, v = params.u, params.v
+    cells, out = [(1, 0, 0, 1)], [1]
+    for _ in range(depth):
+        cells = [
+            m
+            for a, b, c, d in cells
+            for m in ((a, b, c + u * a, d + u * b), (a + v * c, b + v * d, c, d))
+        ]
+        out.append(max(map(max, cells)))
+    return out
+
+
+# Entries of hundreds of bits, so every lane is wider than a machine word.
+WIDE_PARAMS = [(2**64, 1), (1, 2**64), (10**23, 3), (2, 10**23), (10**40, 7), (10**40, 10**40)]
+
+
+class TestPackedEnumeration:
+    """mu_row_bruteforce enumerates the last levels packed into big-integer lanes."""
+
+    @pytest.mark.parametrize("u", range(1, 9))
+    def test_matches_a_plain_enumeration(self, u):
+        for v in range(1, 9):
+            params = MonoidParams(u, v)
+            for n, want in enumerate(plain_maxima(params, 12)):
+                assert mu_row_bruteforce(params, n) == want, (u, v, n)
+
+    @pytest.mark.parametrize("uv", [(1, 1), (2, 3), (8, 1), *WIDE_PARAMS])
+    def test_around_one_block(self, uv):
+        # Up to depth _BLOCK the root alone is packed; one deeper, each of its children.
+        params = MonoidParams(*uv)
+        want = plain_maxima(params, tree._BLOCK + 1)
+        for n in (0, 1, tree._BLOCK - 1, tree._BLOCK, tree._BLOCK + 1):
+            assert mu_row_bruteforce(params, n) == want[n], n
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_many_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(tree, "_BLOCK", block)
+        for uv in [(1, 1), (2, 3), (5, 7), (3, 2**64)]:
+            params = MonoidParams(*uv)
+            for n, want in enumerate(plain_maxima(params, 9)):
+                assert mu_row_bruteforce(params, n) == want, (uv, n)
+
+    @pytest.mark.parametrize("uv", [(1, 1), (2, 3), (5, 7)])
+    def test_matches_the_lucas_value_at_the_cap(self, uv):
+        params = MonoidParams(*uv)
+        assert mu_row_bruteforce(params, 20) == mu_depth(params, 20)
+
+    def test_cap_depth_in_little_memory(self):
+        # A depth-20 row held as 2^20 tuples needs some 300 MB, past this limit.
+        src = str(Path(matmonoid.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        limit = 200 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "matmonoid.cli", "mu", "--method", "brute",
+             "--u", "5", "--v", "7", "--depth", "20"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        want = mu_depth(MonoidParams(5, 7), 20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{want}\n", "")
 
 
 class TestCellAccess:
