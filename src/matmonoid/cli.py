@@ -182,14 +182,18 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    import json
     from . import tree
     params = MonoidParams(args.u, args.v)
     # Rows grow with depth: if the deepest row is within the cap, all are.
     tree.require_row(args.depth)
+    write = sys.stdout.write
+    # Each row streams one cell at a time, in the bytes json.dumps would print.
     for n in range(args.depth + 1):
-        cells = [m.to_json() for m in tree.row(IDENTITY, params, n)]
-        print(json.dumps({"depth": n, "cells": cells}))
+        sep = '{"depth": %d, "cells": [' % n
+        for cell in tree._row_cells(IDENTITY, params, n):
+            write(sep + '[["%s", "%s"], ["%s", "%s"]]' % tuple(map(decimal_str, cell)))
+            sep = ", "
+        write("]}\n")
     return 0
 
 

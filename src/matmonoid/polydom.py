@@ -10,7 +10,6 @@ of the two alternating word families that compete for the maximum.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb
 from typing import Iterable, Iterator
 
 from .errors import _Record, decimal_str, require_int, require_output_size
@@ -133,11 +132,6 @@ def dominates(f: PolyN, g: PolyN) -> bool:
     return True
 
 
-def _binom(n: int, k: int) -> int:
-    """C(n, k) with the zero convention outside 0 <= k <= n."""
-    return comb(n, k) if 0 <= k <= n else 0
-
-
 def _require_family(n: int, low: int) -> None:
     """Check n >= low and size f/g/h/i_poly(n) before any binomial: n + 1 coefficients
     of at most about 1.4*n bits, as they sum to a Fibonacci number near phi^(2n)."""
@@ -145,12 +139,20 @@ def _require_family(n: int, low: int) -> None:
     require_output_size((n + 1) * n * 7 // 40, "bytes", "the polynomial at n = {} has about", n)
 
 
-def _from_terms(terms: Iterable[tuple[int, int]]) -> PolyN:
-    pairs = [(p, c) for p, c in terms if c]
-    out = [0] * (max(p for p, _ in pairs) + 1)
-    for p, c in pairs:
-        out[p] += c
-    return PolyN(out)
+def _require_fold(word: str, what: str) -> None:
+    """Check word and size its fold before any step, as _require_family does: each
+    entry has at most n/2 + 1 terms of at most about 0.7*n bits, for n letters."""
+    validate_word(word)
+    require_output_size((len(word) + 1) * len(word) * 7 // 40, "bytes", what, len(word))
+
+
+def _row(m: int, k: int) -> PolyN:
+    """sum over i <= k of C(m-i, i) x^(k-i), for 0 <= k <= m; each binomial is
+    stepped exactly from the one before, and is zero from 2i > m on."""
+    cs = [1]
+    for i in range(1, k + 1):
+        cs.append(cs[-1] * (m - 2 * i + 2) * (m - 2 * i + 1) // (i * (m - i + 1)))
+    return PolyN(reversed(cs))
 
 
 def f_poly(n: int) -> PolyN:
@@ -160,7 +162,7 @@ def f_poly(n: int) -> PolyN:
     recurrence f(n+1) = f(n) + g(n) from f(0) = 1.
     """
     _require_family(n, 0)
-    return _from_terms((n - i, _binom(2 * n - i, i)) for i in range(n + 1))
+    return _row(2 * n, n)
 
 
 def g_poly(n: int) -> PolyN:
@@ -170,7 +172,7 @@ def g_poly(n: int) -> PolyN:
     g(n+1) = x*f(n+1) + g(n) from g(0) = x.
     """
     _require_family(n, 0)
-    return _from_terms((n + 1 - i, _binom(2 * n + 1 - i, i)) for i in range(n + 1))
+    return _row(2 * n + 1, n).shift(1)
 
 
 def h_poly(n: int) -> PolyN:
@@ -180,9 +182,7 @@ def h_poly(n: int) -> PolyN:
     Satisfies h(n+1) = (1+x)h(n) + i(n) from h(1) = 2x+1.
     """
     _require_family(n, 1)
-    return _from_terms(
-        (n - i, _binom(2 * n - i, i) + _binom(2 * n - 1 - i, i)) for i in range(n + 1)
-    )
+    return _row(2 * n, n) + _row(2 * n - 1, n)
 
 
 def i_poly(n: int) -> PolyN:
@@ -192,9 +192,7 @@ def i_poly(n: int) -> PolyN:
     Satisfies i(n+1) = x*h(n) + i(n) from i(1) = 2x.
     """
     _require_family(n, 1)
-    return _from_terms(
-        (n - i, _binom(2 * n - 1 - i, i) + _binom(2 * n - 2 - i, i)) for i in range(n)
-    )
+    return (_row(2 * n - 1, n - 1) + _row(2 * n - 2, n - 1)).shift(1)
 
 
 def left_column_polys(word: str) -> tuple[PolyN, PolyN]:
@@ -204,7 +202,7 @@ def left_column_polys(word: str) -> tuple[PolyN, PolyN]:
     top(0) = 1 and bottom(0) = 0; evaluating at u recovers the left column
     of the word's matrix for every u >= 1.
     """
-    validate_word(word)
+    _require_fold(word, "the left column of a {}-letter word has about")
     f, g = ONE, ZERO
     # The word is a left-to-right product, so fold generators from the
     # innermost (last) letter outward.
@@ -224,14 +222,12 @@ def pascal_merge_check(a: int, b: int) -> bool:
         sum_{i<a} C(b-i, i) x^(a-i) + sum_{i<=a} C(b+1-i, i) x^(a+1-i)
             = sum_{i<=a} C(b+2-i, i) x^(a+1-i).
 
-    Requires a >= 1 and b >= 2a-2 so every binomial is conventional.
+    Requires a >= 1 and b >= 2a-2 so every binomial is conventional. Both
+    sides share the factor x, which the check drops.
     """
     require_int("a", a, 1)
     require_int("b", b, 2 * a - 2)
-    lhs = _from_terms((a - i, _binom(b - i, i)) for i in range(a))
-    lhs = lhs + _from_terms((a + 1 - i, _binom(b + 1 - i, i)) for i in range(a + 1))
-    rhs = _from_terms((a + 1 - i, _binom(b + 2 - i, i)) for i in range(a + 1))
-    return lhs == rhs
+    return _row(b, a - 1) + _row(b + 1, a) == _row(b + 2, a)
 
 
 class BiPolyN(_Record):

@@ -11,20 +11,12 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import starmap
+from typing import Iterator
 
 from .errors import (
     IndexOutOfRange, InvalidParams, _Record, require_enum_size, require_output_size, show
 )
-from .matrix import (
-    IDENTITY,
-    Mat2,
-    MonoidParams,
-    lmat,
-    mul,
-    rmat,
-    validate_word,
-    word_to_matrix,
-)
+from .matrix import IDENTITY, Mat2, MonoidParams, _Quad, word_to_matrix
 
 __all__ = [
     "DEFAULT_ROW_LIMIT",
@@ -40,7 +32,7 @@ __all__ = [
     "row",
 ]
 
-# Enumerating a full row materializes 2^n matrices; refuse anything past
+# Enumerating a full row takes 2^n steps; refuse anything past
 # this many cells instead of grinding silently. The environment variable
 # raises or lowers the ceiling without code changes.
 DEFAULT_ROW_LIMIT = 2**20
@@ -91,7 +83,7 @@ class TreeRow(_Record):
 
 def children(m: Mat2, params: MonoidParams) -> tuple[Mat2, Mat2]:
     """(left child, right child) = (L_u*M, R_v*M)."""
-    return mul(lmat(params), m), mul(rmat(params), m)
+    return tuple(starmap(Mat2, _row_cells(m, params, 1)))
 
 
 def _require_depth(n: int) -> None:
@@ -115,22 +107,26 @@ def require_row(n: int) -> None:
     require_enum_size(f"row at depth {show(n)} has", n, "cells", DEFAULT_ROW_LIMIT)
 
 
-def _row_cells(root: Mat2, params: MonoidParams, n: int) -> list:
-    """The 2^n depth-n descendants of root as (a, b, c, d), left to right."""
-    require_row(n)
+def _row_cells(root: Mat2, params: MonoidParams, n: int) -> Iterator[_Quad]:
+    """The 2^n depth-n descendants of root as (a, b, c, d), left to right.
+
+    Lazy: each level is a generator over the one above, so O(n) cells are
+    held and a consumer may stop early. Callers check n with require_row.
+    """
     u, v = params.u, params.v
-    cells = [(root.a, root.b, root.c, root.d)]
+    cells: Iterator[_Quad] = iter([(root.a, root.b, root.c, root.d)])
     for _ in range(n):
-        cells = [
+        cells = (
             m
             for a, b, c, d in cells
             for m in ((a, b, u * a + c, u * b + d), (a + v * c, b + v * d, c, d))
-        ]
+        )
     return cells
 
 
 def row(root: Mat2, params: MonoidParams, n: int) -> TreeRow:
     """All 2^n depth-n descendants of root, in left-to-right order."""
+    require_row(n)
     return TreeRow(n, tuple(starmap(Mat2, _row_cells(root, params, n))))
 
 
@@ -231,8 +227,8 @@ def entry_polys(word: str) -> tuple[tuple[BiPolyN, BiPolyN], tuple[BiPolyN, BiPo
     at most the word length; f1 and f4 are sums of balanced monomials
     X^k Y^k, f2 is Y times a balanced part, f3 is X times one.
     """
-    from .polydom import BiPolyN
-    validate_word(word)
+    from .polydom import BiPolyN, _require_fold
+    _require_fold(word, "the entry polynomials of a {}-letter word have about")
     f1, f2, f3, f4 = BiPolyN({(0, 0): 1}), BiPolyN(), BiPolyN(), BiPolyN({(0, 0): 1})
     # Prepend generators: the accumulated matrix is left-multiplied as the
     # word is consumed right to left.

@@ -15,20 +15,26 @@ import matmonoid
 from matmonoid import InvalidParams, MonoidParams, errors, mu_depth, suites, tree, witness
 from matmonoid.cli import _SUITE_CHOICES, main
 from matmonoid.errors import _STR_BITS, decimal_str
+from matmonoid.matrix import IDENTITY
 
 # Python 3.10.7+ refuses int <-> decimal conversions past this many digits.
 DIGIT_CAP = 4300
 
 
 @contextlib.contextmanager
-def no_digit_cap():
-    """Lets the test itself print the library's huge integers."""
+def digit_cap(limit):
+    """Runs the block at int digit cap limit (0 for none), then restores the caller's."""
     cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
         sys.set_int_max_str_digits(cap)
+
+
+def no_digit_cap():
+    """Lets the test itself print the library's huge integers."""
+    return digit_cap(0)
 
 
 needs_digit_cap = pytest.mark.skipif(
@@ -304,6 +310,31 @@ class TestTreeCommand:
             [["1", "6"], ["0", "1"]],
         ]
 
+    @staticmethod
+    def json_rows(u, v, depth):
+        """The rows as json.dumps prints them from whole TreeRows."""
+        params = MonoidParams(u, v)
+        return "".join(
+            json.dumps({"depth": n, "cells": [m.to_json() for m in tree.row(IDENTITY, params, n)]})
+            + "\n" for n in range(depth + 1)
+        )
+
+    @pytest.mark.parametrize("u, v", [(1, 1), (2, 3), (5, 7)])
+    @pytest.mark.parametrize("depth", [0, 1, 8])
+    def test_streamed_rows_match_json_dumps(self, capsys, u, v, depth):
+        code, out, err = run(capsys, ["tree", "--u", str(u), "--v", str(v), "--depth", str(depth)])
+        assert (code, out, err) == (0, self.json_rows(u, v, depth), "")
+
+    @needs_digit_cap
+    def test_entries_past_the_digit_cap(self, capsys):
+        # 4,000-digit arguments parse at the default cap; their depth-2 products pass it.
+        u, v = "1" + "0" * 3998 + "7", "2" * 4000
+        with digit_cap(DIGIT_CAP):
+            code, out, err = run(capsys, ["tree", "--u", u, "--v", v, "--depth", "2"])
+            expected = self.json_rows(int(u), int(v), 2)
+        assert (code, out, err) == (0, expected, "")
+        assert len(max(out.split('"'), key=len)) > DIGIT_CAP
+
     def test_enumeration_cap_is_a_domain_error(self, capsys, monkeypatch):
         monkeypatch.setenv("MATMONOID_ENUM_LIMIT", "4")
         code, out, err = run(capsys, ["tree", "--u", "2", "--v", "3", "--depth", "3"])
@@ -532,7 +563,7 @@ class TestImportOnDemand:
     def test_no_command_loads_dataclasses_or_inspect(self, argv):
         assert not imported_modules(argv) & {"dataclasses", "inspect"}
 
-    @commands("mu", "bound", "hash-hex")
+    @commands("mu", "bound", "hash-hex", "tree")
     def test_json_loads_only_to_print_json(self, argv):
         assert "json" not in imported_modules(argv)
 

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -60,6 +61,31 @@ def families_by_recurrence(n_max):
         hs.append(hs[n] + hs[n].shift(1) + is_[n])
         is_.append(hs[n].shift(1) + is_[n])
     return fs, gs, hs, is_
+
+
+def binom(n, k):
+    """C(n, k) with the zero convention outside 0 <= k <= n."""
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+def from_terms(terms):
+    """The sum of c x^p over the (p, c) pairs, one binomial per term."""
+    pairs = [(p, c) for p, c in terms if c]
+    out = [0] * (max(p for p, _ in pairs) + 1)
+    for p, c in pairs:
+        out[p] += c
+    return PolyN(out)
+
+
+def families_by_binomials(n):
+    """f, g, h, i at n (h and i None at n = 0) from their closed forms, term by term."""
+    f = from_terms((n - i, binom(2 * n - i, i)) for i in range(n + 1))
+    g = from_terms((n + 1 - i, binom(2 * n + 1 - i, i)) for i in range(n + 1))
+    if n == 0:
+        return f, g, None, None
+    h = from_terms((n - i, binom(2 * n - i, i) + binom(2 * n - 1 - i, i)) for i in range(n + 1))
+    i_ = from_terms((n - i, binom(2 * n - 1 - i, i) + binom(2 * n - 2 - i, i)) for i in range(n))
+    return f, g, h, i_
 
 
 def assert_renders_past_the_cap(render, reference):
@@ -243,10 +269,24 @@ class TestFamilies:
     # Each answer would take some 1.75e17 bytes; the refusal comes before any binomial.
     @pytest.mark.parametrize("family", [f_poly, g_poly, h_poly, i_poly])
     def test_huge_index_is_refused_at_once(self, monkeypatch, family):
-        monkeypatch.setattr(polydom, "_binom", lambda n, k: pytest.fail("a binomial was computed"))
+        monkeypatch.setattr(polydom, "_row", lambda m, k: pytest.fail("a binomial was computed"))
         with pytest.raises(LimitExceeded, match=f"^the polynomial at n = {10**9} has about .*"
                            f"raise it with {OUTPUT_LIMIT_ENV}$"):
             family(10**9)
+
+    def test_stepped_rows_match_math_comb_to_300(self):
+        for n in range(301):
+            f, g, h, i_ = families_by_binomials(n)
+            assert (f_poly(n), g_poly(n)) == (f, g), f"f, g at {n}"
+            if n:
+                assert (h_poly(n), i_poly(n)) == (h, i_), f"h, i at {n}"
+
+    def test_stepped_row_matches_math_comb(self):
+        # Every row the families and the merge check build has 0 <= k <= m.
+        for m in range(61):
+            for k in range(m + 1):
+                expected = from_terms((k - i, binom(m - i, i)) for i in range(k + 1))
+                assert polydom._row(m, k) == expected, (m, k)
 
     def test_binomial_forms_match_recurrences_to_20(self):
         fs, gs, hs, is_ = families_by_recurrence(20)
@@ -282,6 +322,14 @@ class TestLeftColumnPolys:
         with pytest.raises(ValueError):
             left_column_polys("LQ")
 
+    def test_huge_word_is_refused_at_once(self, monkeypatch):
+        # 10^5 letters would take some 1.75e9 bytes; the refusal comes before any fold step.
+        for name in ("shift", "__add__"):
+            monkeypatch.setattr(PolyN, name, lambda *a: pytest.fail("the fold ran"))
+        with pytest.raises(LimitExceeded, match="^the left column of a 100000-letter word has "
+                           f"about .*raise it with {OUTPUT_LIMIT_ENV}$"):
+            left_column_polys("LR" * 50_000)
+
     @pytest.mark.parametrize("n", range(11))
     def test_alternating_words_hit_the_families(self, n):
         assert left_column_polys("LR" * n + "L") == (f_poly(n), g_poly(n))
@@ -305,6 +353,16 @@ class TestPascalMerge:
     def test_identity_sweep(self, a):
         for b in range(2 * a - 2, 2 * a + 7):
             assert pascal_merge_check(a, b)
+
+    def test_identity_against_math_comb_to_40(self):
+        # The check drops the factor x both sides share; the sums keep it.
+        for a in range(1, 41):
+            for b in range(2 * a - 2, 2 * a + 11):
+                lhs = from_terms((a - i, binom(b - i, i)) for i in range(a))
+                lhs += from_terms((a + 1 - i, binom(b + 1 - i, i)) for i in range(a + 1))
+                rhs = from_terms((a + 1 - i, binom(b + 2 - i, i)) for i in range(a + 1))
+                assert lhs == rhs == polydom._row(b + 2, a).shift(1), (a, b)
+                assert pascal_merge_check(a, b), (a, b)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

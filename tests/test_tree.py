@@ -36,7 +36,7 @@ from matmonoid import (
     word_to_matrix,
 )
 from matmonoid import suites, tree
-from matmonoid.errors import ENUM_LIMIT_ENV
+from matmonoid.errors import ENUM_LIMIT_ENV, OUTPUT_LIMIT_ENV
 from matmonoid.extremal import mu_depth
 
 P23 = MonoidParams(2, 3)
@@ -117,6 +117,13 @@ class TestTreeRow:
     def test_negative_depth(self):
         with pytest.raises(IndexOutOfRange):
             row(IDENTITY, P23, -1)
+
+    def test_cells_stream_lazily(self):
+        # Depth 60 is far past the cap: the walk holds one cell per level, not the row.
+        cells = tree._row_cells(IDENTITY, P23, 60)
+        for i in (1, 2):
+            m = cell(60, i, P23)
+            assert next(cells) == (m.a, m.b, m.c, m.d)
 
 
 class TestEnumerationLimits:
@@ -427,6 +434,14 @@ class TestEntryPolys:
     def test_full_range_suite(self):
         r = suites.check_entry_poly_structure(10)
         assert r.passed, r.failures
+
+    def test_huge_word_is_refused_at_once(self, monkeypatch):
+        # 10^5 letters would take some 1.75e9 bytes; the refusal comes before any fold step.
+        for name in ("shift", "__add__"):
+            monkeypatch.setattr(BiPolyN, name, lambda *a: pytest.fail("the fold ran"))
+        with pytest.raises(LimitExceeded, match="^the entry polynomials of a 100000-letter word "
+                           f"have about .*raise it with {OUTPUT_LIMIT_ENV}$"):
+            entry_polys("LR" * 50_000)
 
 
 class TestEntryPolyFlip:
