@@ -40,6 +40,8 @@ DEFAULT_COLLISION_LIMIT = 2**22
 # Bit values 0/1 to the digit characters "0"/"1", and back.
 _BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+# An odd 64-bit multiplier (2^64 over the golden ratio) that mixes folded words.
+_MIX = 0x9E3779B97F4A7C15
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -346,30 +348,76 @@ def _levels(params: HashParams, max_len: int) -> Iterator[Iterable[_Quad]]:
     level: Iterable[_Quad] = [(1 % p, 0, 0, 1 % p)]
     for length in range(1, max_len + 1):
         yield level
-        children = (
-            key
-            for a, b, c, d in level
-            for key in (
-                ((a + u * b) % p, b, (c + u * d) % p, d),
-                (a, (b + v * a) % p, c, (d + v * c) % p),
-            )
-        )
+        children = (key for a, b, c, d in level for key in (
+            ((a + u * b) % p, b, (c + u * d) % p, d), (a, (b + v * a) % p, c, (d + v * c) % p)))
         level = children if length == max_len else list(children)
     yield level
+
+
+def _lane_levels(params: HashParams, max_len: int) -> Iterator[tuple[int, int]]:
+    """(level, s) for each length 0..max_len: the states of all strings of
+    that length in one int, each a 4s-bit lane a | b << s | c << 2s | d << 3s,
+    those ending in 0 in the low half and those ending in 1 in the high half.
+
+    With u and v taken mod p, a step's sums a + u*b, ... are at most (1+t)(p-1)
+    for t = max(u, v), and at most the column bounds (max(a, c), max(b, d)) of
+    the strings ending in 0 and in 1, stepped as in tree._packed_max. s is the
+    bound's length and a spare top bit, rounded up to 16, so no lane carries.
+    Subtracting p*2^j where a slot is at least that, for each j below the
+    length of bound // p from the largest down, then leaves each slot mod p.
+    """
+    p, u, v = params.p, params.u % params.p, params.v % params.p
+    a0 = b0 = a1 = b1 = 1
+    for _ in range(max_len):
+        a0, b0, a1, b1 = (max(a0 + u * b0, a1 + u * b1), max(b0, b1),
+                          max(a0, a1), max(b0 + v * a0, b1 + v * a1))
+    bound = min(max(a0, b0, a1, b1), (1 + max(u, v)) * (p - 1))
+    s, shifts = bound.bit_length() + 16 & -16, (bound // p).bit_length()
+    rep, ac = 1 | 1 << s | 1 << 2 * s | 1 << 3 * s, (1 << s) - 1
+    level, top, q = (1 % p) * (1 | 1 << 3 * s), rep << s - 1, rep * p << shifts
+    for k in range(max_len):
+        yield level, s
+        w = 4 * s << k
+        # Slots a and c of each of the 2^k lanes.
+        ac |= ac << w // 2
+        level = level + u * (level >> s & ac) | level + v * ((level & ac) << s) << w
+        if shifts:
+            top, q = top | top << w, q | q << w
+        for i in range(1, shifts + 1):
+            qj = q >> i
+            # (x | top) - q keeps a slot's top bit exactly when x >= q, as in tree._lane_max.
+            t = (level | top) - qj & top
+            level -= qj & t - (t >> s - 1)
+    yield level, s
 
 
 def _distinct_fingerprints(params: HashParams, max_len: int) -> bool:
     """True if the states of all strings of length 0..max_len hash apart.
 
-    Keeps one int per state, not the state, and stops at the first level
-    that adds fewer new values than it has strings.
+    Both shears are invertible mod p, so a colliding pair of shortest total
+    length is the empty string and another, or strings ending in 0 and in 1.
+    The empty string and the 0-class go into a set, which any collision
+    shrinks a level later; the 1-class is kept as 8-byte words, probed at the
+    end. A lane of m > 1 words folds to the xor of its words, each times its
+    own odd multiplier, mod 2^64.
     """
-    seen: set[int] = set()
-    for length, level in enumerate(_levels(params, max_len)):
-        seen.update(map(hash, level))
-        if len(seen) < (2 << length) - 1:
+    seen, ones = set(), bytearray()
+    for k, (level, s) in enumerate(_lane_levels(params, max_len)):
+        m = s >> 4
+        words = memoryview(level.to_bytes(8 * m << k, "little")).cast("Q")
+        if m > 1:
+            # Word j of each lane times an odd multiplier, in a 128-bit lane of its own.
+            column, mix = memoryview(bytearray(16 << k)).cast("Q"), 0
+            for j in range(m):
+                column[::2] = words[j::m]
+                mix ^= int.from_bytes(column, "little") * (_MIX + 2 * j)
+            words = memoryview(mix.to_bytes(16 << k, "little")).cast("Q")[::2]
+        half = len(words) + 1 >> 1
+        seen.update(map(hash, words[:half]))
+        ones += words[half:].tobytes()
+        if len(seen) < 1 << k:
             return False
-    return True
+    return seen.isdisjoint(map(hash, memoryview(ones).cast("Q")))
 
 
 def _first_collision(params: HashParams, max_len: int) -> tuple[str, str] | None:
@@ -396,13 +444,14 @@ def exhaustive_collision_check(params: HashParams, max_len: int) -> tuple[str, s
     string), so the result is deterministic. Returns None if every one of
     the 2^{max_len+1}-1 strings hashes distinctly.
 
-    A first pass keeps only hash() of each digest, an int, instead of the
-    digest's four residues. The fingerprint is a function of the digest,
-    so if all 2^{max_len+1}-1 fingerprints differ, so do the digests, and
-    None is exact. Only when two fingerprints agree does an exact
-    shortlex scan over the digests themselves run, from the empty string
-    on; it finds the first true collision, or None when the agreement was
-    a clash of fingerprints alone.
+    A first pass walks the levels in packed lanes, one int per level, and
+    keeps a 64-bit fingerprint, a function of the digest, of each string: a
+    set for the empty string and those ending in 0, 8 bytes each for those
+    ending in 1. A shortest collision pairs the two classes or the empty
+    string, so disjoint fingerprints make None exact. Any agreement, true or
+    a clash of fingerprints alone, runs an exact shortlex scan over the
+    digests from the empty string on, which holds a dict of them all. The
+    first pass holds about 2^max_len set entries and 2^max_len 8-byte words.
     """
     require_int("max_len", max_len, 0)
     require_enum_size(

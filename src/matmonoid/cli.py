@@ -207,20 +207,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed == len(results) else 1
 
 
-_COMMANDS = {
-    "hash": _cmd_hash,
-    "bound": _cmd_bound,
-    "mu": _cmd_mu,
-    "witness": _cmd_witness,
-    "tree": _cmd_tree,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (MatMonoidError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

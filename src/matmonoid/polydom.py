@@ -9,7 +9,7 @@ of the two alternating word families that compete for the maximum.
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Iterable, Iterator
 
 from .errors import _Record, decimal_str, require_int, require_output_size
@@ -203,15 +203,20 @@ def left_column_polys(word: str) -> tuple[PolyN, PolyN]:
     of the word's matrix for every u >= 1.
     """
     _require_fold(word, "the left column of a {}-letter word has about")
-    f, g = ONE, ZERO
+    f, g = [1], []
     # The word is a left-to-right product, so fold generators from the
-    # innermost (last) letter outward.
+    # innermost (last) letter outward, on coefficient lists.
     for ch in reversed(word):
         if ch == "L":
-            g = f.shift(1) + g
+            g = _add([0, *f], g)
         else:
-            f = f + g
-    return f, g
+            f = _add(f, g)
+    return PolyN(f), PolyN(g)
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """The coefficient lists a and b added term by term."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def pascal_merge_check(a: int, b: int) -> bool:

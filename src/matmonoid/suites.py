@@ -54,8 +54,13 @@ class CheckResult(_Record):
 _Failures = Generator[str, None, str]
 
 
-def _check(name: str) -> Callable[[Callable[..., _Failures]], Callable[..., CheckResult]]:
-    """Turn a check body into a function that runs it and returns its CheckResult."""
+# Each suite's checks in report order, filled in by _check as they are defined.
+_SUITES: dict[str, list[Callable[..., CheckResult]]] = {}
+
+
+def _check(suite: str, name: str) -> Callable[[Callable], Callable[..., CheckResult]]:
+    """Turn a check body into a function that runs it and returns its CheckResult,
+    and append that to the suite's checks."""
 
     def wrap(body: Callable[..., _Failures]) -> Callable[..., CheckResult]:
         @functools.wraps(body)
@@ -68,6 +73,7 @@ def _check(name: str) -> Callable[[Callable[..., _Failures]], Callable[..., Chec
             except StopIteration as done:
                 return CheckResult(name, done.value, not failures, failures)
 
+        _SUITES.setdefault(suite, []).append(check)
         return check
 
     return wrap
@@ -77,7 +83,7 @@ def _check(name: str) -> Callable[[Callable[..., _Failures]], Callable[..., Chec
 # formulas: exact max-entry values against enumeration and radical forms
 
 
-@_check("max-entry-oracle")
+@_check("formulas", "max-entry-oracle")
 def check_max_entry_oracle(max_depth: int) -> _Failures:
     depth = min(max_depth, 16)
     for u, v in WIDE_GRID:
@@ -90,7 +96,7 @@ def check_max_entry_oracle(max_depth: int) -> _Failures:
     return f"(u,v) in [1..4]^2, depth <= {depth}"
 
 
-@_check("radical-closed-form")
+@_check("formulas", "radical-closed-form")
 def check_radical_closed_form(max_depth: int) -> _Failures:
     for u, v in NARROW_GRID:
         params = MonoidParams(u, v)
@@ -103,7 +109,7 @@ def check_radical_closed_form(max_depth: int) -> _Failures:
     return f"(u,v) in [1..3]^2, n <= {max_depth}, both parities, rel tol 1e-9"
 
 
-@_check("max-entry-uv-symmetric")
+@_check("formulas", "max-entry-uv-symmetric")
 def check_uv_symmetry(max_depth: int) -> _Failures:
     top = 2 * max_depth + 2
     for u, v in WIDE_GRID:
@@ -114,7 +120,7 @@ def check_uv_symmetry(max_depth: int) -> _Failures:
     return f"(u,v) in [1..4]^2, depth <= {top}"
 
 
-@_check("max-entry-monotone")
+@_check("formulas", "max-entry-monotone")
 def check_monotonicity(max_depth: int) -> _Failures:
     top = 2 * max_depth + 2
     for u, v in WIDE_GRID:
@@ -128,7 +134,7 @@ def check_monotonicity(max_depth: int) -> _Failures:
     return f"(u,v) in [1..4]^2, strict from depth 1 to {top}"
 
 
-@_check("witness-attainment")
+@_check("formulas", "witness-attainment")
 def check_witness_attainment(max_depth: int) -> _Failures:
     top = 2 * max_depth
     for u, v in WIDE_GRID:
@@ -145,7 +151,7 @@ def check_witness_attainment(max_depth: int) -> _Failures:
     return f"(u,v) in [1..4]^2, depth 1..{top}"
 
 
-@_check("alternating-column")
+@_check("formulas", "alternating-column")
 def check_alternating_column(max_depth: int) -> _Failures:
     for u, v in NARROW_GRID:
         params = MonoidParams(u, v)
@@ -164,7 +170,7 @@ def check_alternating_column(max_depth: int) -> _Failures:
     return f"(u,v) in [1..3]^2, n <= {max_depth}, start column (1,u), rel tol 1e-9"
 
 
-@_check("fibonacci-like-link")
+@_check("formulas", "fibonacci-like-link")
 def check_fibonacci_like_link(max_depth: int) -> _Failures:
     top = 2 * max_depth + 2
     for u, v in WIDE_GRID:
@@ -179,7 +185,7 @@ def check_fibonacci_like_link(max_depth: int) -> _Failures:
     return f"(u,v) in [1..4]^2 with min>1 or u=v=1, offset 1, depth <= {top}"
 
 
-@_check("lucas-pairs")
+@_check("formulas", "lucas-pairs")
 def check_lucas_pairs(max_depth: int) -> _Failures:
     top = 2 * max_depth + 2
     for P in range(3, 12):
@@ -200,7 +206,7 @@ def check_lucas_pairs(max_depth: int) -> _Failures:
 # symmetry: tree mirror identities, classification, entry structure
 
 
-@_check("mirror-symmetry")
+@_check("symmetry", "mirror-symmetry")
 def check_mirror_symmetry(max_depth: int) -> _Failures:
     depth = min(max_depth, 12)
     for u, v in NARROW_GRID:
@@ -216,7 +222,7 @@ def check_mirror_symmetry(max_depth: int) -> _Failures:
     return f"(u,v) in [1..3]^2, depth <= {depth}, all cells"
 
 
-@_check("entry-poly-flip")
+@_check("symmetry", "entry-poly-flip")
 def check_entry_poly_flip(max_depth: int) -> _Failures:
     depth = min(max_depth, 8)
     for n in range(depth + 1):
@@ -224,16 +230,13 @@ def check_entry_poly_flip(max_depth: int) -> _Failures:
         polys = [tree.entry_polys(tree.cell_word(n, i)) for i in range(1, size + 1)]
         for i in range(size):
             (f1, f2), (f3, f4) = polys[size - 1 - i]
-            flipped = (
-                (f4.swap_vars(), f3.swap_vars()),
-                (f2.swap_vars(), f1.swap_vars()),
-            )
+            flipped = ((f4.swap_vars(), f3.swap_vars()), (f2.swap_vars(), f1.swap_vars()))
             if flipped != polys[i]:
                 yield f"n={n} i={i + 1}"
     return f"all cells, depth <= {depth}"
 
 
-@_check("left-half-dominance")
+@_check("symmetry", "left-half-dominance")
 def check_left_half_dominance(max_depth: int) -> _Failures:
     depth = min(max_depth, 12)
     for u, v in [(u, v) for u, v in NARROW_GRID if u >= v]:
@@ -248,7 +251,7 @@ def check_left_half_dominance(max_depth: int) -> _Failures:
     return f"(u,v) in [1..3]^2 with u >= v, depth <= {depth}, left-half cells"
 
 
-@_check("column-max")
+@_check("symmetry", "column-max")
 def check_column_max(max_depth: int) -> _Failures:
     depth = min(max_depth, 8)
     for u, v in NARROW_GRID:
@@ -262,7 +265,7 @@ def check_column_max(max_depth: int) -> _Failures:
     return f"(u,v) in [1..3]^2, all words of depth 1..{depth}, column by last letter"
 
 
-@_check("single-peel-class")
+@_check("symmetry", "single-peel-class")
 def check_single_peel_class(max_depth: int) -> _Failures:
     depth = min(max_depth, 10)
     for u, v in NARROW_GRID:
@@ -277,7 +280,7 @@ def check_single_peel_class(max_depth: int) -> _Failures:
     return f"(u,v) in [1..3]^2, depth 1..{depth}: exactly one generator peels"
 
 
-@_check("entry-poly-structure")
+@_check("symmetry", "entry-poly-structure")
 def check_entry_poly_structure(max_depth: int) -> _Failures:
     depth = min(max_depth, 10)
     eval_points = [(2, 3), (1, 4)]
@@ -301,7 +304,7 @@ def check_entry_poly_structure(max_depth: int) -> _Failures:
     return f"all words of depth <= {depth}; balanced/degree shape and evaluation"
 
 
-@_check("left-column-bound")
+@_check("symmetry", "left-column-bound")
 def check_left_column_bound(max_depth: int) -> _Failures:
     top = min((max_depth - 1) // 2, 7)
     for u, v in WIDE_GRID:
@@ -320,10 +323,8 @@ def check_left_column_bound(max_depth: int) -> _Failures:
                 yield f"u={u} v={v} n={n}: column max {best_entry} != gamma {pair.gamma}"
             if best_sum != pair.alpha + pair.gamma:
                 yield f"u={u} v={v} n={n}: column sum {best_sum} != {pair.alpha + pair.gamma}"
-    return (
-        f"(u,v) in [1..4]^2, odd depths <= {2 * top + 1}: dominant column capped by "
-        "the alternating-word column, with equality attained"
-    )
+    return (f"(u,v) in [1..4]^2, odd depths <= {2 * top + 1}: dominant column capped by "
+            "the alternating-word column, with equality attained")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +357,7 @@ def _dominating_pair(rng: random.Random) -> tuple[PolyN, PolyN]:
     return f, g
 
 
-@_check("family-closed-forms")
+@_check("polydom", "family-closed-forms")
 def check_family_closed_forms(n_max: int = 20) -> _Failures:
     fs, gs, hs, is_ = _families_by_recurrence(n_max)
     for n in range(n_max + 1):
@@ -372,7 +373,7 @@ def check_family_closed_forms(n_max: int = 20) -> _Failures:
     return f"binomial vs recurrence build, n <= {n_max}"
 
 
-@_check("order-laws")
+@_check("polydom", "order-laws")
 def check_order_laws(n_pairs: int = 2000, seed: int = RNG_SEED) -> _Failures:
     rng = random.Random(seed)
     for trial in range(n_pairs):
@@ -403,7 +404,7 @@ def check_order_laws(n_pairs: int = 2000, seed: int = RNG_SEED) -> _Failures:
     return f"{n_pairs} seeded random pairs (seed {seed})"
 
 
-@_check("order-implies-pointwise")
+@_check("polydom", "order-implies-pointwise")
 def check_order_implies_pointwise(n_pairs: int = 2000, seed: int = RNG_SEED) -> _Failures:
     rng = random.Random(seed + 1)
     for _ in range(n_pairs):
@@ -414,7 +415,7 @@ def check_order_implies_pointwise(n_pairs: int = 2000, seed: int = RNG_SEED) -> 
     return f"{n_pairs} dominating pairs evaluated at r = 1..10"
 
 
-@_check("pointwise-converse-regression")
+@_check("polydom", "pointwise-converse-regression")
 def check_pointwise_converse_regression() -> _Failures:
     f, g = PolyN((1, 0, 0, 1)), PolyN((0, 1, 1))  # x^3+1 vs x^2+x
     if dominates(f, g):
@@ -424,7 +425,7 @@ def check_pointwise_converse_regression() -> _Failures:
     return "x^3+1 vs x^2+x: pointwise >= without dominance"
 
 
-@_check("family-chain")
+@_check("polydom", "family-chain")
 def check_family_chain(n_max: int = 12) -> _Failures:
     for n in range(1, n_max + 1):
         f, g = polydom.f_poly(n), polydom.g_poly(n)
@@ -438,7 +439,7 @@ def check_family_chain(n_max: int = 12) -> _Failures:
     return f"n = 1..{n_max}"
 
 
-@_check("family-step-chain")
+@_check("polydom", "family-step-chain")
 def check_family_step_chain(n_max: int = 12) -> _Failures:
     two_x = PolyN((0, 2))
     for n in range(1, n_max + 1):
@@ -453,7 +454,7 @@ def check_family_step_chain(n_max: int = 12) -> _Failures:
     return f"n = 1..{n_max}"
 
 
-@_check("word-column-match")
+@_check("polydom", "word-column-match")
 def check_word_column_match(n_max: int = 10) -> _Failures:
     for n in range(n_max + 1):
         word = "LR" * n + "L"
@@ -472,7 +473,7 @@ def check_word_column_match(n_max: int = 10) -> _Failures:
     return f"alternating words n <= {n_max}, evaluated at u = 1..5 against products"
 
 
-@_check("binomial-merge")
+@_check("polydom", "binomial-merge")
 def check_binomial_merge(a_max: int = 6) -> _Failures:
     for a in range(1, a_max + 1):
         for b in range(2 * a - 2, 2 * a + 7):
@@ -481,7 +482,7 @@ def check_binomial_merge(a_max: int = 6) -> _Failures:
     return f"a = 1..{a_max}, b = 2a-2..2a+6"
 
 
-@_check("fibonacci-poly-link")
+@_check("polydom", "fibonacci-poly-link")
 def check_fibonacci_poly_link(n_max: int = 6) -> _Failures:
     # Fibonacci polynomials: P_1 = 1, P_2 = x, P_{m+1} = x*P_m + P_{m-1}.
     fib = [ZERO, ONE, X]
@@ -500,7 +501,7 @@ def check_fibonacci_poly_link(n_max: int = 6) -> _Failures:
 # hash: worked values, the no-collision horizon, streaming laws
 
 
-@_check("worked-example")
+@_check("hash", "worked-example")
 def check_hash_worked_example() -> _Failures:
     small = bsvhash.HashParams(2, 3, 5)
     d = bsvhash.hash_string(small, "01100")
@@ -515,7 +516,7 @@ def check_hash_worked_example() -> _Failures:
     return "u=2 v=3: 01100 mod 5 and mod 101"
 
 
-@_check("horizon-no-collision")
+@_check("hash", "horizon-no-collision")
 def check_horizon_no_collision() -> _Failures:
     for (u, v), p in product(HASH_GRID, HASH_PRIMES):
         params = bsvhash.HashParams(u, v, p)
@@ -526,7 +527,7 @@ def check_horizon_no_collision() -> _Failures:
     return f"(u,v) in {HASH_GRID}, p in {HASH_PRIMES}, all strings up to n0"
 
 
-@_check("small-modulus-collision")
+@_check("hash", "small-modulus-collision")
 def check_small_modulus_collision() -> _Failures:
     params = bsvhash.HashParams(2, 3, 5)
     hit = bsvhash.exhaustive_collision_check(params, 5)
@@ -535,7 +536,7 @@ def check_small_modulus_collision() -> _Failures:
     return "u=2 v=3 p=5: first shortlex collision"
 
 
-@_check("streaming-one-shot")
+@_check("hash", "streaming-one-shot")
 def check_streaming_one_shot(n_strings: int = 200, seed: int = RNG_SEED) -> _Failures:
     rng = random.Random(seed + 2)
     params = bsvhash.HashParams(2, 3, 101)
@@ -556,7 +557,7 @@ def check_streaming_one_shot(n_strings: int = 200, seed: int = RNG_SEED) -> _Fai
     return f"{n_strings} seeded random strings"
 
 
-@_check("unit-determinant")
+@_check("hash", "unit-determinant")
 def check_unit_determinant(n_strings: int = 200, seed: int = RNG_SEED) -> _Failures:
     rng = random.Random(seed + 3)
     for trial in range(n_strings):
@@ -571,7 +572,7 @@ def check_unit_determinant(n_strings: int = 200, seed: int = RNG_SEED) -> _Failu
     return f"{n_strings} seeded random update streams"
 
 
-@_check("below-horizon-exact")
+@_check("hash", "below-horizon-exact")
 def check_below_horizon_exact(seed: int = RNG_SEED) -> _Failures:
     params = bsvhash.HashParams(2, 3, BIG_PRIME)
     rng = random.Random(seed + 4)
@@ -587,47 +588,6 @@ def check_below_horizon_exact(seed: int = RNG_SEED) -> _Failures:
 
 # ---------------------------------------------------------------------------
 
-# Each suite's checks in report order.
-_SUITES = {
-    "formulas": (
-        check_max_entry_oracle,
-        check_radical_closed_form,
-        check_uv_symmetry,
-        check_monotonicity,
-        check_witness_attainment,
-        check_alternating_column,
-        check_fibonacci_like_link,
-        check_lucas_pairs,
-    ),
-    "symmetry": (
-        check_mirror_symmetry,
-        check_entry_poly_flip,
-        check_left_half_dominance,
-        check_column_max,
-        check_single_peel_class,
-        check_entry_poly_structure,
-        check_left_column_bound,
-    ),
-    "polydom": (
-        check_family_closed_forms,
-        check_order_laws,
-        check_order_implies_pointwise,
-        check_pointwise_converse_regression,
-        check_family_chain,
-        check_family_step_chain,
-        check_word_column_match,
-        check_binomial_merge,
-        check_fibonacci_poly_link,
-    ),
-    "hash": (
-        check_hash_worked_example,
-        check_horizon_no_collision,
-        check_small_modulus_collision,
-        check_streaming_one_shot,
-        check_unit_determinant,
-        check_below_horizon_exact,
-    ),
-}
 SUITE_NAMES = tuple(_SUITES)
 # The depth knob sizes these suites; polydom and hash run fixed ranges.
 _DEPTH_SUITES = ("formulas", "symmetry")

@@ -227,16 +227,16 @@ def entry_polys(word: str) -> tuple[tuple[BiPolyN, BiPolyN], tuple[BiPolyN, BiPo
     at most the word length; f1 and f4 are sums of balanced monomials
     X^k Y^k, f2 is Y times a balanced part, f3 is X times one.
     """
-    from .polydom import BiPolyN, _require_fold
+    from .polydom import BiPolyN, _add, _require_fold
     _require_fold(word, "the entry polynomials of a {}-letter word have about")
-    f1, f2, f3, f4 = BiPolyN({(0, 0): 1}), BiPolyN(), BiPolyN(), BiPolyN({(0, 0): 1})
-    # Prepend generators: the accumulated matrix is left-multiplied as the
-    # word is consumed right to left.
+    # Entry k of f1, f2, f3, f4 is the coefficient of X^k Y^k, X^k Y^(k+1), X^(k+1) Y^k,
+    # X^k Y^k. Prepend generators: the word is read right to left.
+    f1, f2, f3, f4 = [1], [], [], [1]
     for ch in reversed(word):
         if ch == "L":
-            f3 = f1.shift(1, 0) + f3
-            f4 = f2.shift(1, 0) + f4
+            f3, f4 = _add(f3, f1), _add(f4, [0, *f2])
         else:
-            f1 = f1 + f3.shift(0, 1)
-            f2 = f2 + f4.shift(0, 1)
+            f1, f2 = _add(f1, [0, *f3]), _add(f2, f4)
+    f1, f2, f3, f4 = (BiPolyN({(k + dx, k + dy): c for k, c in enumerate(f)})
+                      for f, dx, dy in ((f1, 0, 0), (f2, 0, 1), (f3, 1, 0), (f4, 0, 0)))
     return (f1, f2), (f3, f4)

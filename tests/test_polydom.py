@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -61,6 +62,18 @@ def families_by_recurrence(n_max):
         hs.append(hs[n] + hs[n].shift(1) + is_[n])
         is_.append(hs[n].shift(1) + is_[n])
     return fs, gs, hs, is_
+
+
+def left_column_by_shift_and_add(word):
+    """Reference: the fold on PolyN.shift and + that left_column_polys
+    replaced with coefficient lists."""
+    f, g = ONE, ZERO
+    for ch in reversed(word):
+        if ch == "L":
+            g = f.shift(1) + g
+        else:
+            f = f + g
+    return f, g
 
 
 def binom(n, k):
@@ -326,9 +339,19 @@ class TestLeftColumnPolys:
         # 10^5 letters would take some 1.75e9 bytes; the refusal comes before any fold step.
         for name in ("shift", "__add__"):
             monkeypatch.setattr(PolyN, name, lambda *a: pytest.fail("the fold ran"))
+        monkeypatch.setattr(polydom, "_add", lambda *a: pytest.fail("the fold ran"))
         with pytest.raises(LimitExceeded, match="^the left column of a 100000-letter word has "
                            f"about .*raise it with {OUTPUT_LIMIT_ENV}$"):
             left_column_polys("LR" * 50_000)
+
+    def test_matches_the_shift_and_add_fold(self):
+        for n in range(11):
+            for word in map("".join, product("LR", repeat=n)):
+                assert left_column_polys(word) == left_column_by_shift_and_add(word), word
+
+    @given(st.text(alphabet="LR", min_size=40, max_size=300))
+    def test_matches_the_shift_and_add_fold_on_long_words(self, word):
+        assert left_column_polys(word) == left_column_by_shift_and_add(word)
 
     @pytest.mark.parametrize("n", range(11))
     def test_alternating_words_hit_the_families(self, n):

@@ -35,7 +35,7 @@ from matmonoid import (
     row,
     word_to_matrix,
 )
-from matmonoid import suites, tree
+from matmonoid import polydom, suites, tree
 from matmonoid.errors import ENUM_LIMIT_ENV, OUTPUT_LIMIT_ENV
 from matmonoid.extremal import mu_depth
 
@@ -49,6 +49,20 @@ def all_words(max_len):
     for n in range(max_len + 1):
         for letters in itertools.product("LR", repeat=n):
             yield "".join(letters)
+
+
+def entry_polys_by_shift_and_add(word):
+    """Reference: the fold on BiPolyN.shift and + that entry_polys replaced
+    with coefficient lists, a new BiPolyN of every term per letter."""
+    f1, f2, f3, f4 = BiPolyN({(0, 0): 1}), BiPolyN(), BiPolyN(), BiPolyN({(0, 0): 1})
+    for ch in reversed(word):
+        if ch == "L":
+            f3 = f1.shift(1, 0) + f3
+            f4 = f2.shift(1, 0) + f4
+        else:
+            f1 = f1 + f3.shift(0, 1)
+            f2 = f2 + f4.shift(0, 1)
+    return (f1, f2), (f3, f4)
 
 
 class TestChildren:
@@ -435,10 +449,19 @@ class TestEntryPolys:
         r = suites.check_entry_poly_structure(10)
         assert r.passed, r.failures
 
+    def test_matches_the_shift_and_add_fold(self):
+        for w in all_words(10):
+            assert entry_polys(w) == entry_polys_by_shift_and_add(w), w
+
+    @given(st.text(alphabet="LR", min_size=40, max_size=200))
+    def test_matches_the_shift_and_add_fold_on_long_words(self, w):
+        assert entry_polys(w) == entry_polys_by_shift_and_add(w)
+
     def test_huge_word_is_refused_at_once(self, monkeypatch):
         # 10^5 letters would take some 1.75e9 bytes; the refusal comes before any fold step.
         for name in ("shift", "__add__"):
             monkeypatch.setattr(BiPolyN, name, lambda *a: pytest.fail("the fold ran"))
+        monkeypatch.setattr(polydom, "_add", lambda *a: pytest.fail("the fold ran"))
         with pytest.raises(LimitExceeded, match="^the entry polynomials of a 100000-letter word "
                            f"have about .*raise it with {OUTPUT_LIMIT_ENV}$"):
             entry_polys("LR" * 50_000)
