@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParams, _Record, require_enum_size, require_int, show
 from .extremal import _ladder, collision_horizon
-from .matrix import Mat2, MonoidParams, _Quad
+from .matrix import Mat2, MonoidParams, _Quad, _lane_walk
 
 __all__ = [
     "DEFAULT_COLLISION_LIMIT",
@@ -354,57 +354,28 @@ def _levels(params: HashParams, max_len: int) -> Iterator[Iterable[_Quad]]:
     yield level
 
 
-def _lane_levels(params: HashParams, max_len: int) -> Iterator[tuple[int, int]]:
-    """(level, s) for each length 0..max_len: the states of all strings of
-    that length in one int, each a 4s-bit lane a | b << s | c << 2s | d << 3s,
-    those ending in 0 in the low half and those ending in 1 in the high half.
-
-    With u and v taken mod p, a step's sums a + u*b, ... are at most (1+t)(p-1)
-    for t = max(u, v), and at most the column bounds (max(a, c), max(b, d)) of
-    the strings ending in 0 and in 1, stepped as in tree._packed_max. s is the
-    bound's length and a spare top bit, rounded up to 16, so no lane carries.
-    Subtracting p*2^j where a slot is at least that, for each j below the
-    length of bound // p from the largest down, then leaves each slot mod p.
-    """
-    p, u, v = params.p, params.u % params.p, params.v % params.p
-    a0 = b0 = a1 = b1 = 1
-    for _ in range(max_len):
-        a0, b0, a1, b1 = (max(a0 + u * b0, a1 + u * b1), max(b0, b1),
-                          max(a0, a1), max(b0 + v * a0, b1 + v * a1))
-    bound = min(max(a0, b0, a1, b1), (1 + max(u, v)) * (p - 1))
-    s, shifts = bound.bit_length() + 16 & -16, (bound // p).bit_length()
-    rep, ac = 1 | 1 << s | 1 << 2 * s | 1 << 3 * s, (1 << s) - 1
-    level, top, q = (1 % p) * (1 | 1 << 3 * s), rep << s - 1, rep * p << shifts
-    for k in range(max_len):
-        yield level, s
-        w = 4 * s << k
-        # Slots a and c of each of the 2^k lanes.
-        ac |= ac << w // 2
-        level = level + u * (level >> s & ac) | level + v * ((level & ac) << s) << w
-        if shifts:
-            top, q = top | top << w, q | q << w
-        for i in range(1, shifts + 1):
-            qj = q >> i
-            # (x | top) - q keeps a slot's top bit exactly when x >= q, as in tree._lane_max.
-            t = (level | top) - qj & top
-            level -= qj & t - (t >> s - 1)
-    yield level, s
-
-
 def _distinct_fingerprints(params: HashParams, max_len: int) -> bool:
     """True if the states of all strings of length 0..max_len hash apart.
 
-    Both shears are invertible mod p, so a colliding pair of shortest total
-    length is the empty string and another, or strings ending in 0 and in 1.
-    The empty string and the 0-class go into a set, which any collision
-    shrinks a level later; the 1-class is kept as 8-byte words, probed at the
-    end. A lane of m > 1 words folds to the xor of its words, each times its
-    own odd multiplier, mod 2^64.
+    The empty string and those starting with 0, the low half of each level of
+    matrix._lane_walk, go into a set, which any collision shrinks a level
+    later; those starting with 1 are kept as 8-byte words, probed at the end.
+    A level's four ints are interleaved into one 4w-bit lane a | b << w |
+    c << 2w | d << 3w per string, and a lane of m > 1 words folds to the xor
+    of its words, each times its own odd multiplier, mod 2^64.
     """
     seen, ones = set(), bytearray()
-    for k, (level, s) in enumerate(_lane_levels(params, max_len)):
-        m = s >> 4
-        words = memoryview(level.to_bytes(8 * m << k, "little")).cast("Q")
+    for k, (entries, w) in enumerate(
+            _lane_walk((1, 0, 0, 1), params.u, params.v, max_len, params.p)):
+        m, n = w >> 4, w >> 3
+        words = bytearray(4 * n << k)
+        for j, x in enumerate(entries):
+            # Byte r of each lane of entry j is byte j*n + r of its 4w-bit lane; one copy held.
+            entry = x.to_bytes(n << k, "little")
+            for r in range(n):
+                words[j * n + r::4 * n] = entry[r::n]
+            del entry
+        words = memoryview(words).cast("Q")
         if m > 1:
             # Word j of each lane times an odd multiplier, in a 128-bit lane of its own.
             column, mix = memoryview(bytearray(16 << k)).cast("Q"), 0
@@ -444,14 +415,14 @@ def exhaustive_collision_check(params: HashParams, max_len: int) -> tuple[str, s
     string), so the result is deterministic. Returns None if every one of
     the 2^{max_len+1}-1 strings hashes distinctly.
 
-    A first pass walks the levels in packed lanes, one int per level, and
-    keeps a 64-bit fingerprint, a function of the digest, of each string: a
-    set for the empty string and those ending in 0, 8 bytes each for those
-    ending in 1. A shortest collision pairs the two classes or the empty
-    string, so disjoint fingerprints make None exact. Any agreement, true or
-    a clash of fingerprints alone, runs an exact shortlex scan over the
-    digests from the empty string on, which holds a dict of them all. The
-    first pass holds about 2^max_len set entries and 2^max_len 8-byte words.
+    A first pass walks the levels in packed lanes and keeps a 64-bit
+    fingerprint, a function of the digest, of each string: a set for the
+    empty string and those starting with 0, 8 bytes each for those starting
+    with 1. A shortest collision pairs the two classes or the empty string
+    (a shared first letter would cancel), so disjoint fingerprints make None
+    exact. Any agreement, true or a fingerprint clash, runs an exact shortlex
+    scan over the digests from the empty string on, which holds a dict of them
+    all. The first pass holds about 2^max_len set entries and as many words.
     """
     require_int("max_len", max_len, 0)
     require_enum_size(

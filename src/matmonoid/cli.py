@@ -125,6 +125,10 @@ def _cmd_hash(args: argparse.Namespace) -> int:
     params = bsvhash.HashParams(args.u, args.v, args.p)
     data = _read_input(args)
     if args.bits == "ascii01":
+        if not data.isascii():
+            at = len(data) - len(data.lstrip(bytes(range(128))))
+            raise ValueError(f"invalid byte {data[at]:#04x} at offset {at}; "
+                             "expected '0', '1', or whitespace")
         digest = bsvhash.hash_string(params, bsvhash._ascii01_digits(data.decode("ascii")))
     else:
         digest = bsvhash.HashState(params).update_bytes(data).digest()

@@ -16,7 +16,7 @@ from typing import Iterator
 from .errors import (
     IndexOutOfRange, InvalidParams, _Record, require_enum_size, require_output_size, show
 )
-from .matrix import IDENTITY, Mat2, MonoidParams, _Quad, word_to_matrix
+from .matrix import IDENTITY, Mat2, MonoidParams, _Quad, _lane_walk, _lanes_at_least, word_to_matrix
 
 __all__ = [
     "DEFAULT_ROW_LIMIT",
@@ -134,46 +134,28 @@ def mu_row_bruteforce(params: MonoidParams, n: int) -> int:
     """Exact max entry over all 2^n depth-n matrices, by enumeration.
 
     This is the trusted-but-slow reference the closed forms are checked against,
-    and it uses none of them. _packed_max enumerates the last _BLOCK levels, or all.
+    and it uses none of them. matrix._lane_walk packs the last _BLOCK levels, or all.
     """
     require_row(n)
     k = min(n, _BLOCK)
-    u, v = params.u, params.v
-    return max(_packed_max(*root, u, v, k) for root in _row_cells(IDENTITY, params, n - k))
+    return max(_packed_max(root, params, k) for root in _row_cells(IDENTITY, params, n - k))
 
 
-def _packed_max(a: int, b: int, c: int, d: int, u: int, v: int, k: int) -> int:
-    """The max entry over the 2^k depth-k descendants of [[a, b], [c, d]].
+def _packed_max(root: _Quad, params: MonoidParams, k: int) -> int:
+    """The max entry over the 2^k depth-k descendants of root, lane by lane in halves."""
+    for (a, b, c, d), w in _lane_walk(root, params.u, params.v, k):
+        pass
+    top = int.from_bytes((1 << w - 1).to_bytes(w >> 3, "little") * (1 << k), "little")
 
-    Lane i (w bits) of each of the ints a, b, c, d holds that entry of cell
-    i of a level; a step puts the left children L_u*M in the low half and the
-    right children R_v*M in the high half. No lane carries into the next: the
-    column bound (ma, mc), stepped the same way from the larger entry of each
-    row, bounds every entry below, and w keeps a spare top bit above it,
-    where (x | top) - y leaves a lane's bit set exactly when x >= y, with no borrow.
-    """
-    ma, mc = max(a, b), max(c, d)
-    for _ in range(k):
-        ma, mc = ma + v * mc, mc + u * ma
-    w = max(ma, mc).bit_length() + 1
-    top = 1 << (w - 1)
-    for level in range(k):
-        s = w << level
-        a, c = a | (a + v * c) << s, c + u * a | c << s
-        b, d = b | (b + v * d) << s, d + u * b | d << s
-        top |= top << s
-    x = _lane_max(_lane_max(a, b, top, w), _lane_max(c, d, top, w), top, w)
-    for level in range(k - 1, -1, -1):
-        low = (1 << (w << level)) - 1
+    def lane_max(x: int, y: int, top: int) -> int:
+        return y ^ (x ^ y) & _lanes_at_least(x, y, top, w)
+
+    x = lane_max(lane_max(a, b, top), lane_max(c, d, top), top)
+    for j in range(k - 1, -1, -1):
+        low = (1 << (w << j)) - 1
         top &= low
-        x = _lane_max(x & low, x >> (w << level), top, w)
+        x = lane_max(x & low, x >> (w << j), top)
     return x
-
-
-def _lane_max(x: int, y: int, top: int, w: int) -> int:
-    """Lane-wise max of x and y, whose w-bit lanes have the top bit clear."""
-    t = ((x | top) - y) & top
-    return y ^ (x ^ y) & (t - (t >> (w - 1)))
 
 
 def cell(n: int, i: int, params: MonoidParams) -> Mat2:

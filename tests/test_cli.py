@@ -127,7 +127,9 @@ class TestHashCommand:
         assert run(capsys, argv) == from_file
         code, out, err = from_file
         assert (code, out) == (1, "")
-        assert err.startswith("error: 'ascii' codec can't decode byte 0x")
+        at = next(i for i, byte in enumerate(payload) if byte > 0x7f)
+        assert err == (f"error: invalid byte {hex(payload[at])} at offset {at}; "
+                       "expected '0', '1', or whitespace\n")
 
     @pytest.mark.parametrize("text", ["", " \n\t", "1", "0 1\n1\t0\x0b1\x0c0\r1 1 0"])
     def test_ascii01_digits_hash_like_the_bit_list(self, capsys, monkeypatch, text):

@@ -34,6 +34,7 @@ from matmonoid import bsvhash
 from matmonoid.bsvhash import _extra_strong_lucas, _jacobi, _miller_rabin_witness, _split_two
 from matmonoid.errors import ENUM_LIMIT_ENV
 from matmonoid.extremal import _ladder
+from matmonoid.matrix import _lane_walk
 from test_acceptance import PRIME_2048
 from test_extremal import collision_horizon_by_search
 
@@ -41,6 +42,8 @@ HP235 = HashParams(2, 3, 5)
 BIG_PRIME = 2**61 - 1
 
 bit_lists = st.lists(st.integers(0, 1), max_size=48)
+# Bit 0 applies L_u and bit 1 applies R_v.
+BITS_TO_LETTERS = str.maketrans("01", "LR")
 
 # Small moduli, where collisions come early, for the exhaustive search.
 SMALL_GRID = [(u, v, p) for u in (1, 2, 3) for v in (1, 2, 3) for p in (2, 3, 5, 7, 11, 101)]
@@ -88,12 +91,15 @@ def snapshot(state):
     return (state.a, state.b, state.c, state.d, state.bits_consumed)
 
 
-def lane_states(level, s, lanes):
-    """The (a, b, c, d) of each 4s-bit lane of a packed level, lowest lane first."""
-    raw = level.to_bytes(lanes * s // 2, "little")
-    width = s // 8
-    slots = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-    return [tuple(slots[i:i + 4]) for i in range(0, len(slots), 4)]
+def lane_states(entries, w, lanes):
+    """The (a, b, c, d) of each w-bit lane of a packed level's four ints, lowest lane first."""
+    width = w // 8
+    columns = []
+    for x in entries:
+        raw = x.to_bytes(lanes * width, "little")
+        columns.append([int.from_bytes(raw[i:i + width], "little")
+                        for i in range(0, len(raw), width)])
+    return list(zip(*columns))
 
 
 def string_keyed_collision_search(params, max_len):
@@ -672,38 +678,52 @@ class TestExhaustiveCollisionCheck:
             assert exhaustive_collision_check(hp, max_len) == \
                 string_keyed_collision_search(hp, max_len)
 
-    # At (210, 1, 211) the slot bound has exactly 16 bits, so only the spare
-    # top bit widens the slots to 32; below the horizon at large primes no
-    # slot is ever reduced.
+    # At (210, 1, 211) the lane bound has exactly 16 bits, so only the spare
+    # top bit widens the lanes to 32; below the horizon at large primes no
+    # lane is ever reduced.
     @pytest.mark.parametrize("u,v,p", SMALL_GRID + HUGE_MULTIPLIERS + [(210, 1, 211)] + [
         (u, v, p) for p in (2**127 - 1, 2**521 - 1, PRIME_2048)
         for u, v in HORIZON_PAIRS + [(10**23, 10**23)]
     ], ids=lambda x: str(x) if x < 2**32 else f"{x.bit_length()}-bit")
     def test_lane_walk_visits_the_states_of_levels(self, u, v, p):
+        # Lane i of level k holds the product of the i-th word of length k in
+        # shortlex order, L before R, and with a modulus that product's residues.
+        params = MonoidParams(u, v)
+        levels = zip(_lane_walk((1, 0, 0, 1), u, v, 10), _lane_walk((1, 0, 0, 1), u, v, 10, p))
+        for k, ((exact, w), (residues, wp)) in enumerate(levels):
+            words = [bin(1 << k | i)[3:].translate(BITS_TO_LETTERS) for i in range(1 << k)]
+            products = [word_to_matrix(word, params) for word in words]
+            assert lane_states(exact, w, 1 << k) == [
+                (m.a, m.b, m.c, m.d) for m in products], k
+            assert lane_states(residues, wp, 1 << k) == [
+                (m.a % p, m.b % p, m.c % p, m.d % p) for m in products], k
+
+    @pytest.mark.parametrize("u,v,p", SMALL_GRID)
+    def test_a_first_collision_differs_in_its_first_and_last_letters(self, u, v, p):
+        # Both shears are invertible mod p, so strings that collide and share
+        # their first letter (or their last) leave a shorter colliding pair
+        # when it is cancelled, which the shortlex scan would have met first.
         hp = HashParams(u, v, p)
-        walks = zip(bsvhash._lane_levels(hp, 10), bsvhash._levels(hp, 10))
-        for k, ((level, s), shortlex) in enumerate(walks):
-            shortlex = list(shortlex)
-            states = lane_states(level, s, 1 << k)
-            assert set(states) == set(shortlex), k
-            # Lane i holds the string whose j-th letter is bit j - 1 of i: the
-            # strings ending in 0 fill the low half. Its shortlex index is
-            # the string read as a binary number.
-            assert states == [shortlex[int(format(i, f"0{k}b")[::-1] or "0", 2)]
-                              for i in range(1 << k)], k
+        for max_len in range(11):
+            pair = exhaustive_collision_check(hp, max_len)
+            if pair is not None and pair[0]:
+                first, second = pair
+                assert first[0] != second[0], (max_len, pair)
+                assert first[-1] != second[-1], (max_len, pair)
 
     def test_a_last_level_cross_class_collision_is_caught_by_the_final_probe(self):
-        # The first collision of (1, 1) mod 107 pairs a string ending in 0 with
-        # one ending in 1, at length 13. At max_len 13 no later level repeats
-        # it inside the 0-class, whose states (with the empty string's) are all
-        # distinct, so the per-level count cannot trip: only the final probe of
-        # the 1-class words against the set sees the collision.
+        # The first collision of (1, 1) mod 107 pairs a string starting with 0
+        # with one starting with 1, at length 13. At max_len 13 no later level
+        # repeats it inside the 0-class, whose states (with the empty string's)
+        # are all distinct, so the per-level count cannot trip: only the final
+        # probe of the 1-class words against the set sees the collision.
         hp = HashParams(1, 1, 107)
         pair = ("0010011011110", "1000010011011")
         assert string_keyed_collision_search(hp, 13) == pair
         assert exhaustive_collision_check(hp, 12) is None
         levels = [list(level) for level in bsvhash._levels(hp, 13)]
-        zeros = levels[0] + [key for level in levels[1:] for key in level[0::2]]
+        # In shortlex order the strings starting with 0 fill the first half of a level.
+        zeros = levels[0] + [key for level in levels[1:] for key in level[:len(level) // 2]]
         assert len(set(zeros)) == len(zeros) == 1 << 13
         assert not bsvhash._distinct_fingerprints(hp, 13)
         assert exhaustive_collision_check(hp, 13) == pair
