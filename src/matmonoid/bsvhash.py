@@ -9,6 +9,7 @@ the horizon comes straight from the exact maximal-entry sequence.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, count, islice
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -257,9 +258,11 @@ class HashState:
 
 @lru_cache(maxsize=64)
 def _byte_table(params: HashParams) -> tuple[_Quad, ...]:
-    """The hash of every 8-bit word mod p, indexed by its byte value."""
-    *_, level = _levels(params, 8)
-    return tuple(level)
+    """The hash of every 8-bit word mod p, indexed by its byte value: lane e of level 8."""
+    *_, (entries, w) = _lane_walk((1, 0, 0, 1), params.u, params.v, 8, params.p)
+    n = w >> 3
+    return tuple(zip(*([int.from_bytes(raw[i:i + n], "little") for i in range(0, n << 8, n)]
+                       for raw in (x.to_bytes(n << 8, "little") for x in entries))))
 
 
 def hash_string(params: HashParams, bits: Iterable[int] | str) -> Digest:
@@ -337,73 +340,55 @@ def bound_n0(params: HashParams) -> int:
     return collision_horizon(params.monoid_params, params.p)
 
 
-def _levels(params: HashParams, max_len: int) -> Iterator[Iterable[_Quad]]:
-    """The digest residues of the strings of each length 0..max_len, in shortlex order.
-
-    A state's children are its string followed by 0, then by 1. Every
-    level is a list but the last, which is lazy, so that only the level
-    before it is held.
-    """
-    u, v, p = params.u, params.v, params.p
-    level: Iterable[_Quad] = [(1 % p, 0, 0, 1 % p)]
-    for length in range(1, max_len + 1):
-        yield level
-        children = (key for a, b, c, d in level for key in (
-            ((a + u * b) % p, b, (c + u * d) % p, d), (a, (b + v * a) % p, c, (d + v * c) % p)))
-        level = children if length == max_len else list(children)
-    yield level
+def _fingerprinted_levels(
+    params: HashParams, max_len: int
+) -> Iterator[tuple[memoryview, bytearray]]:
+    """_fingerprinted_level of each level of matrix._lane_walk to max_len, which
+    sets the lane width; a generator expression holds no level it has yielded."""
+    walk = _lane_walk((1, 0, 0, 1), params.u, params.v, max_len, params.p)
+    return (_fingerprinted_level(entries, w, k) for k, (entries, w) in enumerate(walk))
 
 
-def _distinct_fingerprints(params: HashParams, max_len: int) -> bool:
-    """True if the states of all strings of length 0..max_len hash apart.
+def _fingerprinted_level(entries: _Quad, w: int, k: int) -> tuple[memoryview, bytearray]:
+    """(fingerprints, lanes) of the 2^k strings of a packed level, in shortlex order.
 
-    The empty string and those starting with 0, the low half of each level of
-    matrix._lane_walk, go into a set, which any collision shrinks a level
-    later; those starting with 1 are kept as 8-byte words, probed at the end.
-    A level's four ints are interleaved into one 4w-bit lane a | b << w |
-    c << 2w | d << 3w per string, and a lane of m > 1 words folds to the xor
-    of its words, each times its own odd multiplier, mod 2^64.
-    """
-    seen, ones = set(), bytearray()
-    for k, (entries, w) in enumerate(
-            _lane_walk((1, 0, 0, 1), params.u, params.v, max_len, params.p)):
-        m, n = w >> 4, w >> 3
-        words = bytearray(4 * n << k)
-        for j, x in enumerate(entries):
-            # Byte r of each lane of entry j is byte j*n + r of its 4w-bit lane; one copy held.
-            entry = x.to_bytes(n << k, "little")
-            for r in range(n):
-                words[j * n + r::4 * n] = entry[r::n]
-            del entry
-        words = memoryview(words).cast("Q")
-        if m > 1:
-            # Word j of each lane times an odd multiplier, in a 128-bit lane of its own.
-            column, mix = memoryview(bytearray(16 << k)).cast("Q"), 0
-            for j in range(m):
-                column[::2] = words[j::m]
-                mix ^= int.from_bytes(column, "little") * (_MIX + 2 * j)
-            words = memoryview(mix.to_bytes(16 << k, "little")).cast("Q")[::2]
-        half = len(words) + 1 >> 1
-        seen.update(map(hash, words[:half]))
-        ones += words[half:].tobytes()
-        if len(seen) < 1 << k:
-            return False
-    return seen.isdisjoint(map(hash, memoryview(ones).cast("Q")))
+    lanes interleaves the four ints into one 4w-bit lane a | b << w | c << 2w |
+    d << 3w per string. A lane of m > 1 64-bit words folds to the xor of its
+    words, each times its own odd multiplier, mod 2^64; a one-word lane is its
+    own fingerprint."""
+    m, n = w >> 4, w >> 3
+    lanes = bytearray(4 * n << k)
+    for j, x in enumerate(entries):
+        # Byte r of each lane of entry j is byte j*n + r of its 4w-bit lane; one copy held.
+        entry = x.to_bytes(n << k, "little")
+        for r in range(n):
+            lanes[j * n + r::4 * n] = entry[r::n]
+        del entry
+    words = memoryview(lanes).cast("Q")
+    if m > 1:
+        # Word j of each lane times an odd multiplier, in a 128-bit lane of its own.
+        column, mix = memoryview(bytearray(16 << k)).cast("Q"), 0
+        for j in range(m):
+            column[::2] = words[j::m]
+            mix ^= int.from_bytes(column, "little") * (_MIX + 2 * j)
+        words = memoryview(mix.to_bytes(16 << k, "little")).cast("Q")[::2]
+    return words, lanes
 
 
-def _first_collision(params: HashParams, max_len: int) -> tuple[str, str] | None:
-    """The shortlex-first pair of strings of length 0..max_len with one digest."""
-    # A state's value is its string's shortlex code, (1 << length) | index,
-    # which bin(code)[3:] turns back into the string; the codes of
-    # successive levels run on without a gap.
-    seen: dict[_Quad, int] = {}
-    code = 1
-    for level in _levels(params, max_len):
-        for key in level:
-            first = seen.setdefault(key, code)
-            if first != code:
-                return bin(first)[3:], bin(code)[3:]
-            code += 1
+def _replay(params: HashParams, max_len: int, k: int, keys: set[int]) -> tuple[str, str] | None:
+    """The shortlex-first pair of strings of length 0..k with one digest among the
+    empty string and those whose fingerprint, on the first pass's walk (the same
+    max_len), is in keys; compared by their exact lanes."""
+    first: dict[bytes, str] = {}
+    for j, (words, lanes) in enumerate(islice(_fingerprinted_levels(params, max_len), k + 1)):
+        if not j:
+            keys = keys | {hash(words[0])}  # the empty string's
+        n = len(lanes) >> j
+        for i in compress(count(), map(keys.__contains__, map(hash, words))):
+            word = bin(1 << j | i)[3:]
+            earlier = first.setdefault(bytes(lanes[i * n:(i + 1) * n]), word)
+            if earlier != word:
+                return earlier, word
     return None
 
 
@@ -419,15 +404,28 @@ def exhaustive_collision_check(params: HashParams, max_len: int) -> tuple[str, s
     fingerprint, a function of the digest, of each string: a set for the
     empty string and those starting with 0, 8 bytes each for those starting
     with 1. A shortest collision pairs the two classes or the empty string
-    (a shared first letter would cancel), so disjoint fingerprints make None
-    exact. Any agreement, true or a fingerprint clash, runs an exact shortlex
-    scan over the digests from the empty string on, which holds a dict of them
-    all. The first pass holds about 2^max_len set entries and as many words.
+    (a shared first letter would cancel), so None is exact if each length
+    adds its full half to the set and no 1-class word is in it at max_len.
+    Where that fails, at length k, a replay of the walk to k compares the
+    exact lanes of the strings whose fingerprint is the empty string's or in
+    both classes: it finds the shortlex-first pair if that ends by k, and
+    finding none means a fingerprint clash, after which the pass goes on.
+    The pass holds about 2^max_len set entries and as many words.
     """
     require_int("max_len", max_len, 0)
     require_enum_size(
         f"max_len {show(max_len)} needs", max_len + 1, "- 1 states", DEFAULT_COLLISION_LIMIT
     )
-    if _distinct_fingerprints(params, max_len):
-        return None
-    return _first_collision(params, max_len)
+    seen, ones = set(), bytearray()
+    # Not enumerate: its reused result tuple would hold a level while the next is built.
+    for words, lanes in _fingerprinted_levels(params, max_len):
+        k, half, size = len(words).bit_length() - 1, len(words) + 1 >> 1, len(seen)
+        seen.update(map(hash, words[:half]))
+        ones += words[half:].tobytes()
+        del words, lanes  # freed before the next level is built; only a replay needs lanes
+        shrank = len(seen) - size < half
+        if shrank or k == max_len:
+            keys = seen.intersection(map(hash, memoryview(ones).cast("Q")))
+            if (shrank or keys) and (pair := _replay(params, max_len, k, keys)):
+                return pair
+    return None

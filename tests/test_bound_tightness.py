@@ -1,0 +1,50 @@
+"""The paper's collision bound n0 next to the shortest true collision.
+
+No two bit strings of length at most n0 = bound_n0 collide; that is the
+paper's result. How far past n0 the first collision really lies is measured
+here, not proven: exhaustive_collision_check returns the shortlex-first
+colliding pair, so its longer string has the shortest length that collides.
+"""
+import pytest
+
+from matmonoid import HashParams, bound_n0, exhaustive_collision_check
+from test_hash import string_keyed_collision_search
+
+# (p, u, v): (n0, the shortlex-first colliding pair), the pairs as the
+# string-keyed search finds them.
+TIGHTNESS = {
+    (131, 1, 1): (10, ("0010101011110", "1000010101011")),
+    (131, 2, 3): (4, ("0100110001", "1000110010")),
+    (131, 1, 4): (4, ("0110011110", "1000011001")),
+    (131, 5, 7): (2, ("000111110", "100000111")),
+    (521, 1, 1): (13, ("00101010101011", "11010101010100")),
+    (521, 2, 3): (6, ("00011011000", "11100100111")),
+    (521, 1, 4): (6, ("00001100010", "10111001111")),
+    (521, 5, 7): (3, ("0111011101110", "1000100010001")),
+    (2053, 2, 3): (7, ("001001010011", "110010100100")),
+    (2053, 1, 4): (8, ("0000101011110", "1000010101111")),
+    (2053, 5, 7): (4, ("01011011011110", "10000100100101")),
+}
+
+
+@pytest.mark.parametrize("p,u,v", list(TIGHTNESS))
+class TestBoundAgainstTheFirstCollision:
+    def test_no_collision_up_to_n0(self, p, u, v):
+        hp = HashParams(u, v, p)
+        n0, _ = TIGHTNESS[p, u, v]
+        assert bound_n0(hp) == n0
+        assert exhaustive_collision_check(hp, n0) is None
+
+    def test_the_first_collision(self, p, u, v):
+        hp = HashParams(u, v, p)
+        _, pair = TIGHTNESS[p, u, v]
+        shortest = len(pair[1])
+        assert exhaustive_collision_check(hp, shortest) == pair
+        assert exhaustive_collision_check(hp, shortest - 1) is None
+        assert string_keyed_collision_search(hp, shortest) == pair
+
+    def test_the_pair_differs_at_both_ends(self, p, u, v):
+        # Both shears are invertible mod p: a shared first (or last) letter
+        # would cancel and leave a shorter colliding pair.
+        first, second = TIGHTNESS[p, u, v][1]
+        assert first and first[0] != second[0] and first[-1] != second[-1]

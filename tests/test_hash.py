@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import tracemalloc
+from typing import Iterable, Iterator
 
 import hypothesis.strategies as st
 import pytest
@@ -34,7 +35,7 @@ from matmonoid import bsvhash
 from matmonoid.bsvhash import _extra_strong_lucas, _jacobi, _miller_rabin_witness, _split_two
 from matmonoid.errors import ENUM_LIMIT_ENV
 from matmonoid.extremal import _ladder
-from matmonoid.matrix import _lane_walk
+from matmonoid.matrix import _Quad, _lane_walk
 from test_acceptance import PRIME_2048
 from test_extremal import collision_horizon_by_search
 
@@ -49,6 +50,8 @@ BITS_TO_LETTERS = str.maketrans("01", "LR")
 SMALL_GRID = [(u, v, p) for u in (1, 2, 3) for v in (1, 2, 3) for p in (2, 3, 5, 7, 11, 101)]
 # Multipliers far above the modulus: the packed search reduces its lanes most often.
 HUGE_MULTIPLIERS = [(10**23, 2, 101), (3, 10**23, 101), (10**23, 10**23, 101)]
+# No collision up to length 8, in lanes of several 64-bit words.
+WIDE_NO_COLLISION = [(5, 7, 2**127 - 1), (10**23, 10**23, PRIME_2048)]
 # Shear pairs with u = v, u < v, u > v, u or v = 1 and a large product.
 HORIZON_PAIRS = [(1, 1), (1, 6), (6, 1), (2, 3), (3, 2), (5, 7), (6, 6)]
 
@@ -121,6 +124,72 @@ def string_keyed_collision_search(params, max_len):
                 nxt.append(child)
         level = nxt
     return None
+
+
+# The exact scan exhaustive_collision_check ran on any fingerprint agreement
+# before it replayed its lane walk: one tuple per string, and a dict of every
+# digest from the empty string on. Kept as the reference that the search's
+# memory is measured against.
+def tuple_levels(params: HashParams, max_len: int) -> Iterator[Iterable[_Quad]]:
+    """The digest residues of the strings of each length 0..max_len, in shortlex order.
+
+    A state's children are its string followed by 0, then by 1. Every
+    level is a list but the last, which is lazy, so that only the level
+    before it is held.
+    """
+    u, v, p = params.u, params.v, params.p
+    level: Iterable[_Quad] = [(1 % p, 0, 0, 1 % p)]
+    for length in range(1, max_len + 1):
+        yield level
+        children = (key for a, b, c, d in level for key in (
+            ((a + u * b) % p, b, (c + u * d) % p, d), (a, (b + v * a) % p, c, (d + v * c) % p)))
+        level = children if length == max_len else list(children)
+    yield level
+
+
+def index_coded_collision_search(params: HashParams, max_len: int) -> tuple[str, str] | None:
+    """The shortlex-first pair of strings of length 0..max_len with one digest."""
+    # A state's value is its string's shortlex code, (1 << length) | index,
+    # which bin(code)[3:] turns back into the string; the codes of
+    # successive levels run on without a gap.
+    seen: dict[_Quad, int] = {}
+    code = 1
+    for level in tuple_levels(params, max_len):
+        for key in level:
+            first = seen.setdefault(key, code)
+            if first != code:
+                return bin(first)[3:], bin(code)[3:]
+            code += 1
+    return None
+
+
+def traced_peak(search, *args):
+    """(search(*args), the peak of its traced allocations in bytes)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = search(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The length k of each replay that exhaustive_collision_check runs, in order."""
+    ks = []
+    replay = bsvhash._replay
+
+    def spy(params, max_len, k, keys):
+        ks.append(k)
+        return replay(params, max_len, k, keys)
+
+    monkeypatch.setattr(bsvhash, "_replay", spy)
+    return ks
 
 
 class TestIsProbablePrime:
@@ -626,6 +695,12 @@ class TestExhaustiveCollisionCheck:
         # the identity mod 5.
         assert exhaustive_collision_check(HP235, 5) == ("", "00000")
 
+    def test_the_replay_starts_at_the_first_length_that_fails(self, replays):
+        # "00000" returns to the identity mod 5, so the set stops growing at
+        # length 5: the replay runs there, not after a walk on to max_len.
+        assert exhaustive_collision_check(HP235, 10) == ("", "00000")
+        assert replays == [5]
+
     def test_first_collision_mod_two(self):
         assert exhaustive_collision_check(HashParams(1, 1, 2), 2) == ("", "00")
 
@@ -669,14 +744,23 @@ class TestExhaustiveCollisionCheck:
     # fingerprint that clashes far more often than the builtin one.
     @pytest.mark.parametrize("fingerprint", [lambda s: 0, lambda s: builtins.hash(s) & 15],
                              ids=["constant", "four-bit"])
-    @pytest.mark.parametrize("u,v,p", SMALL_GRID)
-    def test_fingerprint_clashes_fall_back_to_the_exact_scan(self, monkeypatch, fingerprint, u, v, p):
+    # The wide cases have no collision, lanes of several 64-bit words (so the
+    # replay keys on exact lanes wider than a fingerprint), and a clash at
+    # every level under the constant fingerprint, each of which must end in None.
+    @pytest.mark.parametrize("u,v,p", SMALL_GRID + WIDE_NO_COLLISION,
+                             ids=lambda x: str(x) if x < 2**32 else f"{x.bit_length()}-bit")
+    def test_fingerprint_clashes_fall_back_to_the_exact_scan(
+            self, monkeypatch, replays, fingerprint, u, v, p):
         monkeypatch.setattr(bsvhash, "hash", fingerprint, raising=False)
         hp = HashParams(u, v, p)
-        assert not bsvhash._distinct_fingerprints(hp, 4)
-        for max_len in range(11):
+        assert exhaustive_collision_check(hp, 4) == string_keyed_collision_search(hp, 4)
+        assert replays
+        lengths = range(9) if (u, v, p) in WIDE_NO_COLLISION else range(11)
+        for max_len in lengths:
             assert exhaustive_collision_check(hp, max_len) == \
                 string_keyed_collision_search(hp, max_len)
+        if (u, v, p) in WIDE_NO_COLLISION:
+            assert string_keyed_collision_search(hp, lengths[-1]) is None
 
     # At (210, 1, 211) the lane bound has exactly 16 bits, so only the spare
     # top bit widens the lanes to 32; below the horizon at large primes no
@@ -711,7 +795,7 @@ class TestExhaustiveCollisionCheck:
                 assert first[0] != second[0], (max_len, pair)
                 assert first[-1] != second[-1], (max_len, pair)
 
-    def test_a_last_level_cross_class_collision_is_caught_by_the_final_probe(self):
+    def test_a_last_level_cross_class_collision_is_caught_by_the_final_probe(self, replays):
         # The first collision of (1, 1) mod 107 pairs a string starting with 0
         # with one starting with 1, at length 13. At max_len 13 no later level
         # repeats it inside the 0-class, whose states (with the empty string's)
@@ -721,12 +805,13 @@ class TestExhaustiveCollisionCheck:
         pair = ("0010011011110", "1000010011011")
         assert string_keyed_collision_search(hp, 13) == pair
         assert exhaustive_collision_check(hp, 12) is None
-        levels = [list(level) for level in bsvhash._levels(hp, 13)]
+        levels = [list(level) for level in tuple_levels(hp, 13)]
         # In shortlex order the strings starting with 0 fill the first half of a level.
         zeros = levels[0] + [key for level in levels[1:] for key in level[:len(level) // 2]]
         assert len(set(zeros)) == len(zeros) == 1 << 13
-        assert not bsvhash._distinct_fingerprints(hp, 13)
         assert exhaustive_collision_check(hp, 13) == pair
+        # The only replay, in both searches, is the one the final probe starts.
+        assert replays == [13]
 
     @pytest.mark.parametrize("p", [BIG_PRIME, 2**127 - 1, 2**521 - 1, PRIME_2048],
                              ids=lambda p: f"{p.bit_length()}-bit")
@@ -740,20 +825,19 @@ class TestExhaustiveCollisionCheck:
 
     def test_fingerprint_pass_peaks_below_the_exact_scan(self):
         hp = HashParams(1, 1, 2**127 - 1)
-
-        def peak(search):
-            tracing = tracemalloc.is_tracing()
-            if not tracing:
-                tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                assert search(hp, 14) is None
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                if not tracing:
-                    tracemalloc.stop()
-
+        found, peak = traced_peak(exhaustive_collision_check, hp, 14)
+        reference, scan = traced_peak(index_coded_collision_search, hp, 14)
+        assert found is None and reference is None
         # About 48 B per state against 151 for the exact scan (Python 3.11),
         # so 0.4 leaves 25% headroom.
-        assert peak(exhaustive_collision_check) < 0.4 * peak(bsvhash._first_collision)
+        assert peak < 0.4 * scan
+
+    def test_a_found_collision_peaks_near_the_first_pass(self):
+        # The first collision of (1, 1) mod 521 is at length 14, the last
+        # level: the first pass runs to the end, then one replay to 14 holds
+        # a second level and the few lanes it compares, not every digest.
+        hp = HashParams(1, 1, 521)
+        found, peak = traced_peak(exhaustive_collision_check, hp, 14)
+        reference, scan = traced_peak(index_coded_collision_search, hp, 14)
+        assert found == reference and len(found[1]) == 14
+        assert peak < 0.6 * scan
