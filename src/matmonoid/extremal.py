@@ -14,7 +14,7 @@ import math
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 
 from .errors import InvalidParams, WitnessMismatch, _Record, require_int, require_output_size, show
-from .matrix import Mat2, MonoidParams, mu, word_to_matrix
+from .matrix import _MIRROR, Mat2, MonoidParams, mu, word_to_matrix
 
 __all__ = [
     "AlphaGammaPair",
@@ -432,13 +432,13 @@ class Witness(_Record):
 def witness(params: MonoidParams, n: int) -> Witness:
     """Construct a maximal word of depth n >= 1 and verify it attains mu_depth.
 
-    Odd n = 2k+1 uses the alternating word ending on the larger shear:
-    (LR)^k L at entry (2,1) when u >= v, else (RL)^k R at (1,2). Even
-    n = 2k+2 uses L(LR)^k L at (2,1) (or its mirror R(RL)^k R at (1,2))
-    when min(u,v) = 1, else (RL)^{k+1} = M^{k+1} at (1,1): M = R_v L_u =
-    [[1+uv, v], [u, 1]] has M^j = U_j*M - U_{j-1}*I (Cayley-Hamilton,
-    P = 2+uv), and as U_{j-1} < U_j the (1,1) entry (1+uv)*U_j - U_{j-1}
-    exceeds v*U_j, u*U_j and U_j - U_{j-1}. The value is always checked
+    Odd n = 2k+1 uses the alternating word (LR)^k L at entry (2,1). Even
+    n = 2k+2 uses L(LR)^k L at (2,1) when min(u,v) = 1, else
+    (RL)^{k+1} = M^{k+1} at (1,1): M = R_v L_u = [[1+uv, v], [u, 1]] has
+    M^j = U_j*M - U_{j-1}*I (Cayley-Hamilton, P = 2+uv), and as
+    U_{j-1} < U_j the (1,1) entry (1+uv)*U_j - U_{j-1} exceeds v*U_j, u*U_j
+    and U_j - U_{j-1}. A (2,1) word is for u >= v; when u < v its mirror
+    (matrix._MIRROR) attains the value at (1,2). The value is always checked
     against mu_depth; a mismatch raises rather than returning a wrong witness.
     """
     require_int("witness depth", n, 1)
@@ -447,16 +447,13 @@ def witness(params: MonoidParams, n: int) -> Witness:
     u, v = params.u, params.v
     k = (n - 1) // 2
     if n % 2 == 1:
-        if u >= v:
-            word, position = "LR" * k + "L", (2, 1)
-        else:
-            word, position = "RL" * k + "R", (1, 2)
+        word, position = "LR" * k + "L", (2, 1)
     elif params.s > 1:
         word, position = "RL" * (k + 1), (1, 1)
-    elif u >= v:
-        word, position = "L" + "LR" * k + "L", (2, 1)
     else:
-        word, position = "R" + "RL" * k + "R", (1, 2)
+        word, position = "L" + "LR" * k + "L", (2, 1)
+    if u < v and position == (2, 1):
+        word, position = word.translate(_MIRROR), (1, 2)
     m = word_to_matrix(word, params)
     value = m.rows()[position[0] - 1][position[1] - 1]
     if value != expected or mu(m) != expected:

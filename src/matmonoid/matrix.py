@@ -122,6 +122,9 @@ def validate_word(word: str) -> None:
 # q > 0 stands for L^q and q < 0 for R^-q.
 _Quad = tuple[int, int, int, int]
 _Runs = list[int]
+# The mirror of a word swaps its letters. Antitranspose swaps L_u and R_v, so
+# word_to_matrix(w.translate(_MIRROR), (v, u)) = antitranspose(word_to_matrix(w, (u, v))).
+_MIRROR = str.maketrans("LR", "RL")
 # Words of at most this many letters are multiplied out letter by letter.
 _LEAF_LETTERS = 64
 # Matrices whose largest entry has at most this many bits are peeled run by

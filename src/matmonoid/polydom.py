@@ -203,15 +203,19 @@ def left_column_polys(word: str) -> tuple[PolyN, PolyN]:
     of the word's matrix for every u >= 1.
     """
     _require_fold(word, "the left column of a {}-letter word has about")
-    f, g = [1], []
-    # The word is a left-to-right product, so fold generators from the
-    # innermost (last) letter outward, on coefficient lists.
+    p, q = _column_fold(word)
+    return PolyN(p), PolyN([0, *q])
+
+
+def _column_fold(word: str) -> tuple[list[int], list[int]]:
+    """Left column of a valid word: a = sum p[k] (uv)^k and c = u * sum q[k] (uv)^k."""
+    p, q = [1], []
     for ch in reversed(word):
         if ch == "L":
-            g = _add([0, *f], g)
+            q = _add(p, q)
         else:
-            f = _add(f, g)
-    return PolyN(f), PolyN(g)
+            p = _add(p, [0, *q])
+    return p, q
 
 
 def _add(a: list[int], b: list[int]) -> list[int]:

@@ -177,11 +177,12 @@ def check_fibonacci_like_link(max_depth: int) -> _Failures:
         s, t = min(u, v), max(u, v)
         if s == 1 and t > 1:
             continue
-        params = MonoidParams(u, v)
-        oriented = MonoidParams(s, t)
+        params, oriented = MonoidParams(u, v), MonoidParams(s, t)
+        F0, F1 = 0, 1  # F_n, F_{n+1} by the defining recurrence
         for n in range(top + 1):
-            if extremal.fseq(oriented, n + 1) != extremal.mu_depth(params, n):
+            if not extremal.fseq(oriented, n + 1) == extremal.mu_depth(params, n) == F1:
                 yield f"u={u} v={v} n={n}"
+            F0, F1 = F1, (t, s)[n % 2] * F1 + F0
     return f"(u,v) in [1..4]^2 with min>1 or u=v=1, offset 1, depth <= {top}"
 
 

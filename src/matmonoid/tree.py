@@ -13,10 +13,10 @@ from enum import Enum
 from itertools import starmap
 from typing import Iterator
 
-from .errors import (
-    IndexOutOfRange, InvalidParams, _Record, require_enum_size, require_output_size, show
-)
-from .matrix import IDENTITY, Mat2, MonoidParams, _Quad, _lane_walk, _lanes_at_least, word_to_matrix
+from .errors import (IndexOutOfRange, InvalidParams, _Record, require_enum_size,
+                     require_output_size, show)
+from .matrix import (_MIRROR, IDENTITY, Mat2, MonoidParams, _Quad, _lane_walk, _lanes_at_least,
+                     word_to_matrix)
 
 __all__ = [
     "DEFAULT_ROW_LIMIT",
@@ -209,16 +209,11 @@ def entry_polys(word: str) -> tuple[tuple[BiPolyN, BiPolyN], tuple[BiPolyN, BiPo
     at most the word length; f1 and f4 are sums of balanced monomials
     X^k Y^k, f2 is Y times a balanced part, f3 is X times one.
     """
-    from .polydom import BiPolyN, _add, _require_fold
+    from .polydom import BiPolyN, _column_fold, _require_fold
     _require_fold(word, "the entry polynomials of a {}-letter word have about")
     # Entry k of f1, f2, f3, f4 is the coefficient of X^k Y^k, X^k Y^(k+1), X^(k+1) Y^k,
-    # X^k Y^k. Prepend generators: the word is read right to left.
-    f1, f2, f3, f4 = [1], [], [], [1]
-    for ch in reversed(word):
-        if ch == "L":
-            f3, f4 = _add(f3, f1), _add(f4, [0, *f2])
-        else:
-            f1, f2 = _add(f1, [0, *f3]), _add(f2, f4)
+    # X^k Y^k. The right column is the left column of the mirrored word, X and Y swapped.
+    (f1, f3), (f4, f2) = _column_fold(word), _column_fold(word.translate(_MIRROR))
     f1, f2, f3, f4 = (BiPolyN({(k + dx, k + dy): c for k, c in enumerate(f)})
                       for f, dx, dy in ((f1, 0, 0), (f2, 0, 1), (f3, 1, 0), (f4, 0, 0)))
     return (f1, f2), (f3, f4)

@@ -24,6 +24,7 @@ from matmonoid import (
     mu,
     mu_depth,
     mu_row_bruteforce,
+    suites,
     witness,
     word_to_matrix,
 )
@@ -82,6 +83,21 @@ def radical_forms_by_mpmath(u, v, n, starts):
             gamma = k1 * (lam1 - 1) * lam1**n + k2 * (lam2 - 1) * lam2**n
             orbits.append((alpha, gamma))
         return odd, even, orbits
+
+
+def witness_by_five_branches(params, n):
+    """Reference: witness's word and position with each orientation spelled out."""
+    u, v = params.u, params.v
+    k = (n - 1) // 2
+    if n % 2 == 1:
+        if u >= v:
+            return "LR" * k + "L", (2, 1)
+        return "RL" * k + "R", (1, 2)
+    if params.s > 1:
+        return "RL" * (k + 1), (1, 1)
+    if u >= v:
+        return "L" + "LR" * k + "L", (2, 1)
+    return "R" + "RL" * k + "R", (1, 2)
 
 
 def fseq_by_steps(params, n):
@@ -493,6 +509,28 @@ class TestWitness:
             assert w.position == (1, 1)
             assert w.value == w.matrix.a == mu_depth(params, n)
 
+    @pytest.mark.parametrize("u", range(1, 7))
+    def test_matches_the_five_branch_rule(self, u):
+        for v in range(1, 7):
+            params = MonoidParams(u, v)
+            for n in range(1, 61):
+                w = witness(params, n)
+                assert (w.word, w.position) == witness_by_five_branches(params, n), (u, v, n)
+
+    @pytest.mark.parametrize("uv", [(2, 3), (3, 2), (1, 5), (5, 1)])
+    @pytest.mark.parametrize("n", [401, 30_001])
+    def test_matches_the_five_branch_rule_deep(self, uv, n):
+        params = MonoidParams(*uv)
+        w = witness(params, n)
+        assert (w.word, w.position) == witness_by_five_branches(params, n)
+
+    def test_an_unmirrored_word_is_caught(self, monkeypatch):
+        # u < v takes the mirror of the u >= v word; without the swap the integer
+        # product of the word at (1,2) misses the depth maximum.
+        monkeypatch.setattr(extremal, "_MIRROR", str.maketrans("LR", "LR"))
+        with pytest.raises(WitnessMismatch):
+            witness(MonoidParams(2, 3), 5)
+
     def test_domain_validation(self):
         with pytest.raises(InvalidParams):
             witness(P23, 0)
@@ -532,6 +570,21 @@ class TestFseq:
             params = MonoidParams(u, v)
             for n in [*range(60), 257, 1000, 1001]:
                 assert fseq(params, n) == fseq_by_steps(params, n), (u, v, n)
+
+    def test_link_check_catches_a_fault_both_sides_share(self, monkeypatch):
+        # At even depths mu_depth and fseq both evaluate _combo(P, j, 1, -1), so a fault
+        # there moves both alike; the check's recurrence side still sees it.
+        combo = extremal._combo
+
+        def faulty(P, m, alpha, beta):
+            return combo(P, m, alpha, beta) + ((alpha, beta) == (1, -1) and m > 0)
+
+        monkeypatch.setattr(extremal, "_combo", faulty)
+        r = suites.check_fibonacci_like_link(10)
+        assert not r.passed
+        # 10 pairs of the grid, even depths 2..22.
+        assert len(r.failures) == 110
+        assert r.failures[0] == "u=1 v=1 n=2"
 
     def test_domain_validation(self):
         with pytest.raises(InvalidParams):

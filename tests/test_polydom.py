@@ -23,6 +23,7 @@ from matmonoid import (
     MonoidParams,
     PolyN,
     dominates,
+    entry_polys,
     f_poly,
     g_poly,
     h_poly,
@@ -74,6 +75,18 @@ def left_column_by_shift_and_add(word):
         else:
             f = f + g
     return f, g
+
+
+def entry_left_column_at_y_one(word):
+    """(f1, f3) of entry_polys(word) with Y = 1, as polynomials in X."""
+    (f1, _), (f3, _) = entry_polys(word)
+    out = []
+    for f in (f1, f3):
+        cs = [0] * (max((i for i, _ in f.coeffs), default=-1) + 1)
+        for (i, _), c in f.coeffs.items():
+            cs[i] += c
+        out.append(PolyN(cs))
+    return tuple(out)
 
 
 def binom(n, k):
@@ -352,6 +365,16 @@ class TestLeftColumnPolys:
     @given(st.text(alphabet="LR", min_size=40, max_size=300))
     def test_matches_the_shift_and_add_fold_on_long_words(self, word):
         assert left_column_polys(word) == left_column_by_shift_and_add(word)
+
+    def test_is_the_left_column_of_the_entry_polynomials(self):
+        # Both share one column fold; entry_polys keeps Y, which v = 1 sets to 1.
+        for n in range(11):
+            for word in map("".join, product("LR", repeat=n)):
+                assert left_column_polys(word) == entry_left_column_at_y_one(word), word
+
+    @given(st.text(alphabet="LR", min_size=40, max_size=300))
+    def test_is_the_left_column_of_the_entry_polynomials_on_long_words(self, word):
+        assert left_column_polys(word) == entry_left_column_at_y_one(word)
 
     @pytest.mark.parametrize("n", range(11))
     def test_alternating_words_hit_the_families(self, n):

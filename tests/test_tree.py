@@ -457,6 +457,15 @@ class TestEntryPolys:
     def test_matches_the_shift_and_add_fold_on_long_words(self, w):
         assert entry_polys(w) == entry_polys_by_shift_and_add(w)
 
+    def test_an_unmirrored_right_column_is_caught(self, monkeypatch):
+        # The right column is the column fold of the mirrored word. With the mirror
+        # table the identity it is the left column again, and the integer products show it.
+        assert suites.check_entry_poly_structure(4).passed
+        monkeypatch.setattr(tree, "_MIRROR", str.maketrans("LR", "LR"))
+        r = suites.check_entry_poly_structure(4)
+        assert not r.passed
+        assert all(f.endswith("evaluation mismatch") for f in r.failures)
+
     def test_huge_word_is_refused_at_once(self, monkeypatch):
         # 10^5 letters would take some 1.75e9 bytes; the refusal comes before any fold step.
         for name in ("shift", "__add__"):
