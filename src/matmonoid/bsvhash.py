@@ -8,6 +8,7 @@ the horizon comes straight from the exact maximal-entry sequence.
 """
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from itertools import compress, count, islice
 from math import isqrt
@@ -382,9 +383,9 @@ def _replay(params: HashParams, max_len: int, k: int, keys: set[int]) -> tuple[s
     first: dict[bytes, str] = {}
     for j, (words, lanes) in enumerate(islice(_fingerprinted_levels(params, max_len), k + 1)):
         if not j:
-            keys = keys | {hash(words[0])}  # the empty string's
+            keys = keys | {words[0]}  # the empty string's
         n = len(lanes) >> j
-        for i in compress(count(), map(keys.__contains__, map(hash, words))):
+        for i in compress(count(), map(keys.__contains__, words)):
             word = bin(1 << j | i)[3:]
             earlier = first.setdefault(bytes(lanes[i * n:(i + 1) * n]), word)
             if earlier != word:
@@ -395,37 +396,38 @@ def _replay(params: HashParams, max_len: int, k: int, keys: set[int]) -> tuple[s
 def exhaustive_collision_check(params: HashParams, max_len: int) -> tuple[str, str] | None:
     """Search all bit strings of length 0..max_len for a digest collision.
 
-    Strings are visited in shortlex order (by length, then lexicographic);
-    the first repeated digest is reported as (earlier string, current
-    string), so the result is deterministic. Returns None if every one of
-    the 2^{max_len+1}-1 strings hashes distinctly.
-
-    A first pass walks the levels in packed lanes and keeps a 64-bit
-    fingerprint, a function of the digest, of each string: a set for the
-    empty string and those starting with 0, 8 bytes each for those starting
-    with 1. A shortest collision pairs the two classes or the empty string
-    (a shared first letter would cancel), so None is exact if each length
-    adds its full half to the set and no 1-class word is in it at max_len.
-    Where that fails, at length k, a replay of the walk to k compares the
-    exact lanes of the strings whose fingerprint is the empty string's or in
-    both classes: it finds the shortlex-first pair if that ends by k, and
-    finding none means a fingerprint clash, after which the pass goes on.
-    The pass holds about 2^max_len set entries and as many words.
+    Returns the shortlex-first pair (earlier, current) with one digest, or None. Both
+    shears are invertible mod p, so it is "" and another string, or crosses the (first
+    letter, last letter) classes 00 and 11, or 01 and 10. A first pass probes a set of
+    class 00 and "" with the 11 words' 64-bit fingerprints, then one of 01 and "" with
+    the 10 words'; where a set repeats or a probe hits, _replay compares exact lanes.
     """
     require_int("max_len", max_len, 0)
     require_enum_size(
         f"max_len {show(max_len)} needs", max_len + 1, "- 1 states", DEFAULT_COLLISION_LIMIT
     )
-    seen, ones = set(), bytearray()
+    seen, w01, w10, w11 = set(), array("Q"), array("Q"), array("Q")
+    levels = _fingerprinted_levels(params, max_len)
     # Not enumerate: its reused result tuple would hold a level while the next is built.
-    for words, lanes in _fingerprinted_levels(params, max_len):
+    for words, lanes in levels:
+        # Lane i of level k is i in k digits: first letter i >= half, last letter i % 2.
         k, half, size = len(words).bit_length() - 1, len(words) + 1 >> 1, len(seen)
-        seen.update(map(hash, words[:half]))
-        ones += words[half:].tobytes()
+        if k == max_len:
+            levels.close()  # the walk's copy of the last level, freed before the set grows
+        seen.update(words[:half:2])
+        w01.frombytes(words[min(k, 1):half:2].tobytes())  # and "", lane 0 of level 0
+        w10.frombytes(words[half + 1 & -2::2].tobytes())
+        w11.frombytes(words[half | 1::2].tobytes())
         del words, lanes  # freed before the next level is built; only a replay needs lanes
-        shrank = len(seen) - size < half
+        shrank = len(seen) - size < half + 1 >> 1
         if shrank or k == max_len:
-            keys = seen.intersection(map(hash, memoryview(ones).cast("Q")))
+            keys = seen.intersection(w11)
+            if k == max_len:
+                seen.clear()  # so that one quarter-size set is alive at a time
+            seen01 = set(w01)
+            keys |= seen01.intersection(w10)
+            shrank |= len(seen01) < len(w01)
+            del seen01
             if (shrank or keys) and (pair := _replay(params, max_len, k, keys)):
                 return pair
     return None

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import tracemalloc
+from array import array
 from typing import Iterable, Iterator
 
 import hypothesis.strategies as st
@@ -176,6 +177,57 @@ def traced_peak(search, *args):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def rewrite_fingerprints(monkeypatch, rewrite):
+    """Make every walk of the collision search pass each level's fingerprints,
+    copied into an array of 64-bit ints (one-word lanes are their own
+    fingerprints), through rewrite(words, k), which returns the new ones."""
+    fingerprinted_level = bsvhash._fingerprinted_level
+
+    def rewriting(entries, w, k):
+        words, lanes = fingerprinted_level(entries, w, k)
+        return memoryview(rewrite(array("Q", words), k)), lanes
+
+    monkeypatch.setattr(bsvhash, "_fingerprinted_level", rewriting)
+
+
+def plant_fingerprint(monkeypatch, source, target):
+    """Give the string target the fingerprint of source, a string no longer
+    than target and before it."""
+    planted = []
+
+    def plant(words, k):
+        # The string s is lane int(s, 2) of level len(s).
+        if k == len(source):
+            planted[:] = [words[int("0" + source, 2)]]
+        if k == len(target):
+            words[int(target, 2)] = planted[0]
+        return words
+
+    rewrite_fingerprints(monkeypatch, plant)
+
+
+def letter_class(s):
+    """The (first letter, last letter) class of s, as in "01"; "" for the empty string."""
+    return s[:1] + s[-1:]
+
+
+def first_pair_of_kind(kind, degenerate):
+    """(params, max_len, pair): the first (u, v, p) of a small grid, with u or v
+    divisible by p when degenerate and neither otherwise, whose shortlex-first
+    colliding pair has the sorted classes kind, with the least max_len that finds it."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for u in range(1, p + 1):
+            for v in range(1, p + 1):
+                if (u % p == 0 or v % p == 0) != degenerate:
+                    continue
+                # "0" * p is the identity mod p, so a first pair ends by length p.
+                hp = HashParams(u, v, p)
+                pair = string_keyed_collision_search(hp, p)
+                if tuple(sorted(map(letter_class, pair))) == kind:
+                    return hp, len(pair[1]), pair
+    raise LookupError(f"no first pair of kind {kind} in the grid")
 
 
 @pytest.fixture
@@ -740,8 +792,8 @@ class TestExhaustiveCollisionCheck:
         if (u, v, p) == (2, 3, 5):
             assert string_keyed_collision_search(hp, 5) == ("", "00000")
 
-    # hash() is looked up in the module first, so a test can swap in a
-    # fingerprint that clashes far more often than the builtin one.
+    # Each level's fingerprints pass through a function that clashes far more
+    # often than the 64-bit fold.
     @pytest.mark.parametrize("fingerprint", [lambda s: 0, lambda s: builtins.hash(s) & 15],
                              ids=["constant", "four-bit"])
     # The wide cases have no collision, lanes of several 64-bit words (so the
@@ -751,7 +803,7 @@ class TestExhaustiveCollisionCheck:
                              ids=lambda x: str(x) if x < 2**32 else f"{x.bit_length()}-bit")
     def test_fingerprint_clashes_fall_back_to_the_exact_scan(
             self, monkeypatch, replays, fingerprint, u, v, p):
-        monkeypatch.setattr(bsvhash, "hash", fingerprint, raising=False)
+        rewrite_fingerprints(monkeypatch, lambda words, k: array("Q", map(fingerprint, words)))
         hp = HashParams(u, v, p)
         assert exhaustive_collision_check(hp, 4) == string_keyed_collision_search(hp, 4)
         assert replays
@@ -796,11 +848,12 @@ class TestExhaustiveCollisionCheck:
                 assert first[-1] != second[-1], (max_len, pair)
 
     def test_a_last_level_cross_class_collision_is_caught_by_the_final_probe(self, replays):
-        # The first collision of (1, 1) mod 107 pairs a string starting with 0
-        # with one starting with 1, at length 13. At max_len 13 no later level
-        # repeats it inside the 0-class, whose states (with the empty string's)
-        # are all distinct, so the per-level count cannot trip: only the final
-        # probe of the 1-class words against the set sees the collision.
+        # The first collision of (1, 1) mod 107 pairs a string of class 00
+        # (first and last letter 0) with one of class 11, at length 13. At
+        # max_len 13 no later level repeats it inside class 00: the strings
+        # starting with 0 (with the empty string) all have distinct states, so
+        # the per-level count cannot trip, and only the final probe of the
+        # class-11 words against the class-00 set sees the collision.
         hp = HashParams(1, 1, 107)
         pair = ("0010011011110", "1000010011011")
         assert string_keyed_collision_search(hp, 13) == pair
@@ -812,6 +865,46 @@ class TestExhaustiveCollisionCheck:
         assert exhaustive_collision_check(hp, 13) == pair
         # The only replay, in both searches, is the one the final probe starts.
         assert replays == [13]
+
+    # Each kind of shortlex-first pair the class split meets: class 00 against
+    # 11, 01 against 10, and the empty string against a string of class 00, 01
+    # or (when v is 0 mod p, as in ("", "1")) 11; ("", "0") has u = 0 mod p.
+    # No first pair is "" and a class-10 string: rotating such a string's last
+    # letter, a 0, to its front leaves a string of the same length before it
+    # that is also the identity mod p.
+    @pytest.mark.parametrize("kind,degenerate", [
+        (("00", "11"), False), (("01", "10"), False), (("", "00"), False),
+        (("", "01"), False), (("", "00"), True), (("", "11"), True),
+    ])
+    def test_each_class_pairing_is_found(self, replays, kind, degenerate):
+        hp, max_len, pair = first_pair_of_kind(kind, degenerate)
+        assert (len(pair[1]) == 1) == degenerate
+        assert exhaustive_collision_check(hp, max_len) == pair
+        # Lanes of one 64-bit word are their own fingerprints, so nothing
+        # clashes: the one replay is at the length of the pair.
+        assert replays == [max_len]
+        for longer in range(max_len + 1, max_len + 4):
+            assert exhaustive_collision_check(hp, longer) == \
+                string_keyed_collision_search(hp, longer) == pair
+
+    # A clash only inside class 01, whose set is built at max_len, and one of
+    # the empty string with a class-10 string, which no real first pair is:
+    # each shows only at the end, and the replay there finds no pair.
+    @pytest.mark.parametrize("source,target", [("001", "011"), ("", "10")])
+    def test_a_planted_clash_ends_in_the_exact_answer(
+            self, monkeypatch, replays, source, target):
+        plant_fingerprint(monkeypatch, source, target)
+        hp = HashParams(1, 1, BIG_PRIME)
+        assert exhaustive_collision_check(hp, 6) is None
+        assert string_keyed_collision_search(hp, 6) is None
+        assert replays == [6]
+
+    @given(st.sampled_from([p for p in range(200) if is_probable_prime(p)]),
+           st.integers(1, 49), st.integers(1, 49), st.integers(0, 9))
+    def test_matches_the_string_keyed_search_at_random(self, p, u, v, max_len):
+        hp = HashParams(u, v, p)
+        assert exhaustive_collision_check(hp, max_len) == \
+            string_keyed_collision_search(hp, max_len)
 
     @pytest.mark.parametrize("p", [BIG_PRIME, 2**127 - 1, 2**521 - 1, PRIME_2048],
                              ids=lambda p: f"{p.bit_length()}-bit")
@@ -828,8 +921,8 @@ class TestExhaustiveCollisionCheck:
         found, peak = traced_peak(exhaustive_collision_check, hp, 14)
         reference, scan = traced_peak(index_coded_collision_search, hp, 14)
         assert found is None and reference is None
-        # About 48 B per state against 151 for the exact scan (Python 3.11),
-        # so 0.4 leaves 25% headroom.
+        # About 35 B per state against 155 for the exact scan (Python 3.11),
+        # so 0.4 leaves room for other Python versions.
         assert peak < 0.4 * scan
 
     def test_a_found_collision_peaks_near_the_first_pass(self):
