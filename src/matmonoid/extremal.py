@@ -98,35 +98,26 @@ def _answer_bytes(P: int, m: int) -> int:
 
 
 def _ladder(P: int, m: int, n: int = 0) -> tuple[int, int]:
-    """The ladder of lucas, unchecked: (U_m, V_m) mod an odd n > 1, exact for
-    n = 0.
+    """The ladder of lucas, unchecked: (U_m, V_m), exact for n = 0 and mod
+    an odd n > 1 otherwise.
 
-    Mod n, a doubling is the product U*V and the square V*V, the step-up is
-    the two half-sums (P*U + V)/2 and (D*U + P*V)/2, and both are reduced
-    mod n. A half-sum's numerator x may then be odd although its exact value
-    is even; as n is odd, x + n is then even, and (x + n)/2 is the half-sum.
+    A doubling is U_{2k} = U*V and V_{2k} = V^2 - 2. Exact and from
+    _SQUARE_BITS on, where two squares cost less than the product, it is
+    S = V^2 and T = (U+V)^2 through _square, with
+    U_{2k} = (T - S - floor(S/D))/2 and V_{2k} = S - 2. The step-up is
+    U_{k+1} = (P*U_k + V_k)/2, then V_{k+1} = P*U_{k+1} - 2*U_k: two
+    products in place of four. Old values are dropped once used, so a deep
+    ladder's peak memory is its last two squares or the step-up's products.
 
-    Exact, a doubling from _SQUARE_BITS on is the two squares S = V^2 and
-    T = (U+V)^2 through _square, with U_{2k} = (T - S - floor(S/D))/2 and
-    V_{2k} = S - 2; below it two squares cost more than the product. The
-    step-up is U_{k+1} = (P*U_k + V_k)/2, then V_{k+1} = P*U_{k+1} - 2*U_k:
-    two products in place of four. The old U and V are dropped as soon as
-    they are used, so a deep ladder's peak memory is its last two squares or
-    the step-up's two products.
+    Setting n changes three things in the one loop: the doubling always
+    takes the product, as floor(S/D) holds only over the integers; the
+    half-sum's reduced numerator may be odd, and then gets n added before
+    the halving, as n is odd; and each step ends mod n.
     """
     U, V = 0, 2
     D = P * P - 4
-    if n:
-        for k in range(m.bit_length() - 1, -1, -1):
-            U, V = U * V, V * V - 2
-            if m >> k & 1:
-                U, V = P * U + V, D * U + P * V
-                U, V = U + (U & 1) * n, V + (V & 1) * n
-                U, V = U >> 1, V >> 1
-            U, V = U % n, V % n
-        return U, V
     for k in range(m.bit_length() - 1, -1, -1):
-        if V.bit_length() < _SQUARE_BITS:
+        if n or V.bit_length() < _SQUARE_BITS:
             U, V = U * V, V * V - 2
         else:
             U += V
@@ -136,8 +127,12 @@ def _ladder(P: int, m: int, n: int = 0) -> tuple[int, int]:
             V -= 2
         if m >> k & 1:
             V += P * U
+            if n and V & 1:
+                V += n
             U, V = V >> 1, U
             V = P * U - V - V
+        if n:
+            U, V = U % n, V % n
     return U, V
 
 

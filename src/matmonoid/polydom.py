@@ -63,8 +63,7 @@ class PolyN(_Record):
         return bool(self.coeffs)
 
     def __add__(self, other: "PolyN") -> "PolyN":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyN(self.coefficient(i) + other.coefficient(i) for i in range(n))
+        return PolyN(_add(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "PolyN") -> "PolyN":
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

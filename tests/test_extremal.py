@@ -28,6 +28,7 @@ from matmonoid import (
     witness,
     word_to_matrix,
 )
+from test_acceptance import PRIME_2048
 
 P23 = MonoidParams(2, 3)
 REL_TOL = Decimal("1e-9")
@@ -200,8 +201,9 @@ def around_powers_of_two(ks):
 GRID_DEPTHS = sorted({*range(3001), *around_powers_of_two(range(1, 15))})
 DEEP_DEPTHS = around_powers_of_two(range(15, 21))
 
-# Odd moduli for the ladder reduced mod n: tiny, composite, and multi-word primes.
-LADDER_MODULI = (3, 5, 7, 9, 15, 101, 2**61 - 1, 2**127 - 1, 2**521 - 1)
+# Odd moduli for the ladder reduced mod n: tiny, composite, and multi-word
+# primes up to the primality gate's 2048-bit size.
+LADDER_MODULI = (3, 5, 7, 9, 15, 101, 2**61 - 1, 2**127 - 1, 2**521 - 1, PRIME_2048)
 
 
 class TestLucas:
@@ -236,11 +238,17 @@ class TestLucas:
         pair = lucas(P, m)
         assert pair.V**2 - (P * P - 4) * pair.U**2 == 4
 
-    @pytest.mark.parametrize("P", range(3, 13))
-    def test_ladder_mod_n_reduces_the_exact_ladder(self, P):
+    @pytest.mark.parametrize("P,kernel", [*(pytest.param(P, None, id=str(P)) for P in range(3, 13)),
+                                          pytest.param(3, "forced_kernel", id="3-forced_kernel")])
+    def test_ladder_mod_n_reduces_the_exact_ladder(self, P, kernel, request):
         # 2^15..2^20 cost up to seconds per exact ladder, so they run on one
-        # odd and one even P, the two parity cases of the half-sums.
-        ks = range(1, 21 if P in (3, 4) else 15)
+        # odd and one even P, the two parity cases of the half-sums. Under the
+        # forced kernel every exact doubling takes the two squares, whose
+        # floor(S/D) holds only over the integers, so the chain mod n must
+        # never take them; a short range shows that.
+        if kernel:
+            request.getfixturevalue(kernel)
+        ks = range(1, 16 if kernel else 21 if P in (3, 4) else 15)
         for m in [*range(201), *(2**k + d for k in ks for d in (-1, 1))]:
             U, V = extremal._ladder(P, m)
             for n in LADDER_MODULI:
