@@ -116,8 +116,11 @@ def _read_input(args: argparse.Namespace) -> bytes:
     """The raw bytes of the --input file, or of stdin."""
     if args.input == "-":
         return sys.stdin.buffer.read()
-    with open(args.input, "rb") as fh:
-        return fh.read()
+    try:
+        with open(args.input, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read --input {args.input!r}: {exc.strerror}") from None
 
 
 def _cmd_hash(args: argparse.Namespace) -> int:

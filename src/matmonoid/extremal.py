@@ -73,16 +73,12 @@ class LucasPair(_Record):
 
 
 def lucas(P: int, m: int) -> LucasPair:
-    """Exact (U_m, V_m) in O(log m) steps by doubling.
+    """Exact (U_m, V_m) in O(log m) steps by doubling, on _ladder.
 
-    A doubling is V_{2k} = V_k^2 - 2 and U_{2k} = U_k*V_k; from
-    _SQUARE_BITS on, the product costs one more big-integer square, as
-    U_k*V_k = ((U_k+V_k)^2 - V_k^2 - U_k^2)/2, where
-    U_k^2 = floor(V_k^2/D) for D = P^2-4 >= 5 by V_k^2 - D*U_k^2 = 4.
-    The step-up is the half-sum U_{k+1} = (P*U_k + V_k)/2, then
-    V_{k+1} = P*U_{k+1} - 2*U_k, which is (D*U_k + P*V_k)/2. The half-sum is
-    exact: U_k and V_k are congruent mod 2 when P is odd and V_k is always
-    even when P is even.
+    A doubling is V_{2k} = V_k^2 - 2 and U_{2k} = U_k*V_k, and a step-up
+    U_{k+1} = (P*U_k + V_k)/2 and V_{k+1} = P*U_{k+1} - 2*U_k. The half-sum
+    is exact: U_k and V_k are congruent mod 2 when P is odd and V_k is
+    always even when P is even.
     """
     require_int("P", P, 3)
     require_int("m", m, 0)
@@ -102,9 +98,10 @@ def _ladder(P: int, m: int, n: int = 0) -> tuple[int, int]:
     an odd n > 1 otherwise.
 
     A doubling is U_{2k} = U*V and V_{2k} = V^2 - 2. Exact and from
-    _SQUARE_BITS on, where two squares cost less than the product, it is
-    S = V^2 and T = (U+V)^2 through _square, with
-    U_{2k} = (T - S - floor(S/D))/2 and V_{2k} = S - 2. The step-up is
+    _KERNEL_BITS on, where two transform squares cost less than a product
+    and a square, it is S = V^2 and T = (U+V)^2 through _mul, with
+    U_{2k} = (T - S - floor(S/D))/2, as U^2 = floor(S/D) for D = P^2-4 >= 5
+    by V^2 - D*U^2 = 4, and V_{2k} = S - 2. The step-up is
     U_{k+1} = (P*U_k + V_k)/2, then V_{k+1} = P*U_{k+1} - 2*U_k: two
     products in place of four. Old values are dropped once used, so a deep
     ladder's peak memory is its last two squares or the step-up's products.
@@ -117,12 +114,12 @@ def _ladder(P: int, m: int, n: int = 0) -> tuple[int, int]:
     U, V = 0, 2
     D = P * P - 4
     for k in range(m.bit_length() - 1, -1, -1):
-        if n or V.bit_length() < _SQUARE_BITS:
+        if n or V.bit_length() < _KERNEL_BITS:
             U, V = U * V, V * V - 2
         else:
             U += V
-            V = _square(V)
-            U = _square(U) - V
+            V = _mul(V, V)
+            U = _mul(U, U) - V
             U = (U - V // D) >> 1
             V -= 2
         if m >> k & 1:
@@ -136,74 +133,58 @@ def _ladder(P: int, m: int, n: int = 0) -> tuple[int, int]:
     return U, V
 
 
-# Below this many bits _square is x*x: there CPython's Karatsuba beats the
-# transform, which wins from about 200,000 bits (Python 3.11, x86-64).
-_SQUARE_BITS = 250_000
+# Below this many bits in either factor _mul is x*y, as CPython's Karatsuba is
+# faster: squares cross at about 110,000 bits, products at 180,000 (3.11, x86-64).
+_KERNEL_BITS = 180_000
 
 
-def _square(x: int) -> int:
-    """x*x, by a Schönhage–Strassen transform from _SQUARE_BITS bits on.
+def _mul(x: int, y: int) -> int:
+    """x*y, by a Schönhage–Strassen transform once both factors have
+    _KERNEL_BITS bits; with y is x it squares on one forward transform.
 
-    |x| is cut into N/2 pieces of M bits, where N = 2^k >= 2 is the largest
-    power of two with N^2 <= 2*bits and M is a multiple of 8, so the pieces
-    are byte slices; N/2 zero pieces follow. The square is the cyclic
-    convolution of the N pieces, evaluated mod F = 2^K + 1 with K >= 2M+k+1
-    a multiple of N/2, so that w = 2^(2K/N) is a primitive N-th root of unity
-    and every twiddle is a shift: a decimation-in-frequency forward pass
-    (natural order in, bit-reversed out), pointwise squares mod F, a
-    decimation-in-time inverse pass (bit-reversed in, natural out), and a
-    scaling by N^-1 = 2^(2K-k) = -2^(K-k). Sums inside the passes are left
-    unreduced, as every step is a congruence mod F.
+    For b = bits(x) + bits(y), N = 2^k >= 2 is the largest power of two
+    with N^2 <= b. |x| and |y| are cut into byte-sliced pieces of M >= b/N
+    bits, zero-padded to N, and convolved cyclically mod F = 2^K + 1,
+    K >= 2M+k+1 a multiple of N/2, so w = 2^(2K/N) is a primitive N-th
+    root of unity and every twiddle is a shift: a decimation-in-frequency
+    forward pass (bit-reversed out), pointwise products, a
+    decimation-in-time inverse pass and a scaling by N^-1 = -2^(K-k). Sums
+    in the passes stay unreduced, as every step is a congruence mod F.
 
-    The result is exact by construction: with half the pieces zero no
-    coefficient wraps, and each coefficient is a sum of at most N/2
-    products below 2^(2M), so below 2^(2M+k) < F, and it is its own
-    residue. The coefficients are carried into M-bit pieces one by one,
-    each dropped once consumed.
+    It is exact by construction: the factors' c and c' pieces have
+    c + c' < b/M + 2 <= N + 2, so the c + c' - 1 <= N coefficients never
+    wrap, however lopsided the factors, and each, a sum of at most N
+    products below 2^(2M), is below 2^(2M+k) < F: its own residue.
     """
-    b = x.bit_length()
-    if b < _SQUARE_BITS:
-        return x * x
-    k = max(((2 * b).bit_length() - 1) >> 1, 1)
+    b, c = x.bit_length(), y.bit_length()
+    if b < _KERNEL_BITS or c < _KERNEL_BITS:
+        return x * y
+    if b < c:
+        x, y = y, x
+    b += c
+    k = max((b.bit_length() - 1) >> 1, 1)
     N, half = 1 << k, 1 << k - 1
-    M = -(-b // half)
-    M += -M % 8
-    K = 2 * M + k + 1
-    K += -K % half
-    width = M >> 3
-    data = abs(x).to_bytes(-(-b // 8), "little")
-    a = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    del data
-    a += [0] * (N - len(a))
-    # Forward: the pairs at distance h take w^(j*N/2h) = 2^(j*K/h), j < h,
-    # and d*2^s = d_hi*2^K + d_lo*2^s == d_lo*2^s - d_hi for d_hi = d >> (K-s).
-    h = half
-    while h:
-        for j in range(h):
-            s = j * (K // h)
-            r = K - s
-            low = (1 << r) - 1
-            for i in range(j, N, 2 * h):
-                p, q = a[i], a[i + h]
-                a[i] = p + q
-                d = p - q
-                a[i + h] = ((d & low) << s) - (d >> r)
-        h >>= 1
-    F = (1 << K) + 1
-    mask = F - 2
-    # Pointwise: y*y = hi*2^K + lo == lo - hi.
-    for i in range(N):
-        y = a[i] % F
-        y *= y
-        a[i] = (y & mask) - (y >> K)
+    M = -(-b // (8 * N)) * 8
+    K = -(-(2 * M + k + 1) // half) * half
+    F, mask = (1 << K) + 1, (1 << K) - 1
+    a = _forward(x, N, M, K)
+    # Pointwise: p*q = hi*2^K + lo == lo - hi. y, the smaller factor, has at
+    # most N/2 pieces, which the first forward stage sends as they are to the
+    # lower half and times 2^(j*2K/N) to the upper: one half at a time.
+    for lo in (0, half):
+        z = a[lo:lo + half] if y is x else _forward(y, half, M, K, lo and K // half)
+        for i in range(half):
+            p = z[i] % F
+            p *= p if y is x else a[lo + i] % F
+            z[i] = None
+            a[lo + i] = (p & mask) - (p >> K)
     # Inverse: w^-(j*N/2h) = -2^(K-s) for s = j*K/h, and at j = 0 the same
     # formula is the identity.
     h = 1
     while h < N:
         for j in range(h):
             r = j * (K // h)
-            s = K - r
-            low = (1 << r) - 1
+            s, low = K - r, (1 << r) - 1
             for i in range(j, N, 2 * h):
                 p, q = a[i], a[i + h]
                 q = (q >> r) - ((q & low) << s)
@@ -212,16 +193,41 @@ def _square(x: int) -> int:
         h <<= 1
     # Scale by -2^(K-k), reduce into [0, F), and carry into M-bit pieces.
     s, low = K - k, (1 << k) - 1
-    piece = (1 << M) - 1
-    out = bytearray()
-    carry = 0
+    piece, width = (1 << M) - 1, M >> 3
+    out, carry = bytearray(), 0
     for i in range(N):
         c = a[i]
         a[i] = None
         c = ((c >> k) - ((c & low) << s)) % F + carry
         out += (c & piece).to_bytes(width, "little")
         carry = c >> M
-    return int.from_bytes(out, "little")
+    c = int.from_bytes(out, "little")
+    return -c if (x < 0) != (y < 0) else c
+
+
+def _forward(x: int, N: int, M: int, K: int, t: int = 0) -> list[int]:
+    """_mul's forward pass on |x| in M-bit pieces, the j-th times 2^(j*t), padded to N."""
+    width = M >> 3
+    data = abs(x).to_bytes(-(-x.bit_length() // 8), "little")
+    a = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    del data
+    if t:
+        a = [((d & (1 << K - j * t) - 1) << j * t) - (d >> K - j * t) for j, d in enumerate(a)]
+    a += [0] * (N - len(a))
+    # The pairs at distance h take w^(j*N/2h) = 2^(j*K/h), j < h, and
+    # d*2^s = d_hi*2^K + d_lo*2^s == d_lo*2^s - d_hi for d_hi = d >> (K-s).
+    h = N >> 1
+    while h:
+        for j in range(h):
+            s = j * (K // h)
+            r, low = K - s, (1 << (K - s)) - 1
+            for i in range(j, N, 2 * h):
+                p, q = a[i], a[i + h]
+                a[i] = p + q
+                d = p - q
+                a[i + h] = ((d & low) << s) - (d >> r)
+        h >>= 1
+    return a
 
 
 class AlphaGammaPair(_Record):
@@ -379,9 +385,8 @@ def _combo(P: int, m: int, alpha: int, beta: int) -> int:
     every solution satisfies X_{2h} = X_h*V_h - X_0 and
     X_{2h+1} = X_{h+1}*V_h - X_1 (Joye and Quisquater, 1996). With
     h = m >> 1, the last doubling is the single product X*V of X = X_h or
-    X_{h+1}, where lucas(P, m) would pay for U*V and V^2. From
-    _SQUARE_BITS on, the product is taken as ((X+V)^2 - (X-V)^2)/4 through
-    the squaring kernel.
+    X_{h+1}, where lucas(P, m) would pay for U*V and V^2; from _KERNEL_BITS
+    on it is one transform product of _mul.
     """
     U, V = _ladder(P, m >> 1)
     up = (P * U + V) // 2  # U_{h+1}; U_{h+2} = P*U_{h+1} - U_h
@@ -389,13 +394,10 @@ def _combo(P: int, m: int, alpha: int, beta: int) -> int:
         X, X0 = alpha * (P * up - U) + beta * up, alpha * P + beta
     else:
         X, X0 = alpha * up + beta * U, alpha
-    if V.bit_length() < _SQUARE_BITS:
+    if V.bit_length() < _KERNEL_BITS:
         return X * V - X0
     del U, up
-    S = _square(X + V)
-    X -= V
-    del V
-    return (S - _square(X) >> 2) - X0
+    return _mul(X, V) - X0
 
 
 def mu_depth(params: MonoidParams, n: int) -> int:
@@ -403,9 +405,10 @@ def mu_depth(params: MonoidParams, n: int) -> int:
 
     mu(0) = 1, and for n >= 1 the parity formulas of _parity_coeffs give
     mu(n) = alpha*U_{m+1} + beta*U_m with m = n >> 1, for P = 2+uv. _combo
-    evaluates it with the ladder at m >> 1 and one top product by the
-    doubling identity X_{2h} = X_h*V_h - X_0 (X_{2h+1} = X_{h+1}*V_h - X_1),
-    which every solution of the recurrence satisfies.
+    evaluates it with the ladder at m >> 1 and one top product X*V, a single
+    _mul transform product at full size, by the doubling identity
+    X_{2h} = X_h*V_h - X_0 (X_{2h+1} = X_{h+1}*V_h - X_1), which every
+    solution of the recurrence satisfies.
     """
     require_int("depth", n, 0)
     if n == 0:
@@ -467,7 +470,7 @@ def fseq(params: MonoidParams, n: int) -> int:
     (min(u,v), max(u,v)), the value at n+1 equals mu_depth at n whenever
     u, v > 1 or u = v = 1. With P = 2+uv, F_{2k} = v*U_k and
     F_{2k+1} = U_{k+1} - U_k; _combo evaluates either from the ladder at
-    n >> 2 and one top product by the doubling identity
+    n >> 2 and one top product X*V, as in mu_depth, by the doubling identity
     X_{2h} = X_h*V_h - X_0 (X_{2h+1} = X_{h+1}*V_h - X_1).
     """
     require_int("index", n, 0)

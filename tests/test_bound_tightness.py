@@ -24,6 +24,9 @@ TIGHTNESS = {
     (2053, 2, 3): (7, ("001001010011", "110010100100")),
     (2053, 1, 4): (8, ("0000101011110", "1000010101111")),
     (2053, 5, 7): (4, ("01011011011110", "10000100100101")),
+    (8209, 2, 3): (8, ("0000111011010", "1010010001111")),
+    (8209, 1, 4): (9, ("0001110001010010", "1011010111000111")),
+    (8209, 5, 7): (4, ("0010101010010001", "1000100101010100")),
 }
 
 

@@ -101,12 +101,16 @@ class TestHashCommand:
         assert out == ""
         assert err.startswith("error:")
 
-    def test_missing_input_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, [
-            "hash", "--u", "2", "--v", "3", "--p", "5",
-            "--input", str(tmp_path / "absent.txt")])
-        assert code == 1
-        assert err.startswith("error:")
+    @pytest.mark.parametrize("name,reason", [("absent.txt", "No such file or directory"),
+                                             ("", "Is a directory")])
+    def test_unreadable_input_file(self, capsys, tmp_path, name, reason):
+        # One error line naming the option, the path and the OS reason, with
+        # no "[Errno N]"; a directory (tmp_path / "") fails like a missing file.
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, [
+            "hash", "--u", "2", "--v", "3", "--p", "5", "--input", path])
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read --input {path!r}: {reason}\n"
 
     def test_bad_bit_characters(self, capsys, tmp_path):
         path = tmp_path / "bits.txt"

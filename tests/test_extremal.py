@@ -143,7 +143,7 @@ def ladder_by_products(P, m):
     """(U_m, V_m) by the doubling U_{2k} = U_k*V_k, V_{2k} = V_k^2 - 2 and the
     step-up ((P*U + V)/2, ((P^2-4)*U + P*V)/2), each a plain product: the
     reference for _ladder, whose doubling takes two squares through the
-    squaring kernel."""
+    transform kernel."""
     U, V = 0, 2
     D = P * P - 4
     for k in range(m.bit_length() - 1, -1, -1):
@@ -154,7 +154,7 @@ def ladder_by_products(P, m):
 
 
 def kernel_layout_sizes():
-    """Bit lengths just below, at and above each edge of the squaring kernel's
+    """Bit lengths just below, at and above each edge of the transform kernel's
     layout: where N = 2^k doubles (b = 2^(2k-1)) up to N = 2^9, and for
     N up to 2^7 also every b where the piece width M, a multiple of 8,
     steps up (b a multiple of 8*N/2)."""
@@ -632,38 +632,65 @@ class TestTopProduct:
 
 @pytest.fixture
 def forced_kernel(monkeypatch):
-    """Every square of the ladder and every top product of _combo, of any
-    size, through the transform of the squaring kernel."""
-    monkeypatch.setattr(extremal, "_SQUARE_BITS", 1)
+    """Every square and product of the ladder and every top product of
+    _combo, of any size, through the transform of extremal._mul."""
+    monkeypatch.setattr(extremal, "_KERNEL_BITS", 1)
 
 
-class TestSquareKernel:
-    """extremal._square against x*x, and the ladder and top product built on
-    it against plain products; the full-size checks reduce mod q, where the
-    ladder never reaches the kernel."""
+def signed_pairs(x, y):
+    return [(x, y), (-x, y), (x, -y), (-x, -y)]
+
+
+class TestTransformKernel:
+    """extremal._mul against x*y and x*x, and the ladder and top product
+    built on it against plain products; the full-size checks reduce mod q,
+    where the ladder never reaches the kernel."""
 
     def test_small_values(self, forced_kernel):
-        for x in (0, 1, -1, 2, 3, -7, 255, 256, 257):
-            assert extremal._square(x) == x * x, x
+        values = (0, 1, -1, 2, 3, -7, 255, 256, 257, 2**64 + 1)
+        for x in values:
+            assert extremal._mul(x, x) == x * x, x
+            for y in values:
+                assert extremal._mul(x, y) == x * y, (x, y)
 
     def test_every_layout_edge(self, forced_kernel):
+        # A square of b bits and a product of b and b + d bits fill b + b + d
+        # bits, so the pairs cover each product layout edge from both sides.
         rng = random.Random(1971)
         for b in kernel_layout_sizes():
             top = 1 << b
             for x in (top - 1, top, top + 1, rng.getrandbits(b) | top >> 1,
                       -rng.getrandbits(b)):
-                assert extremal._square(x) == x * x, (b, x - top)
+                assert extremal._mul(x, x) == x * x, (b, x - top)
+            x = rng.getrandbits(b) | top >> 1
+            for d in (-1, 0, 1):
+                y = (1 << b + d) - 1 - rng.getrandbits(b // 2)
+                for x1, y1 in signed_pairs(x, y):
+                    assert extremal._mul(x1, y1) == x1 * y1, (b, d)
+
+    def test_lopsided_pairs(self, forced_kernel):
+        rng = random.Random(1996)
+        for small, large in [(1, 1), (1, 200_000), (7, 40_000), (1000, 150_000),
+                             (4095, 4097), (30_000, 250_001)]:
+            x, y = rng.getrandbits(small) | 1 << small - 1, rng.getrandbits(large) | 1 << large - 1
+            for x1, y1 in [*signed_pairs(x, y), *signed_pairs(y, x)]:
+                assert extremal._mul(x1, y1) == x1 * y1, (small, large)
+            assert extremal._mul(0, y) == extremal._mul(-y, 0) == 0
 
     def test_seeded_sizes(self, forced_kernel):
         rng = random.Random(14)
         for _ in range(16):
             x = rng.getrandbits(rng.randrange(1, 200_001))
-            assert extremal._square(x) == x * x, x.bit_length()
+            y = rng.getrandbits(rng.randrange(1, 200_001))
+            assert extremal._mul(x, x) == x * x, x.bit_length()
+            assert extremal._mul(x, y) == x * y, (x.bit_length(), y.bit_length())
 
     def test_both_sides_of_the_threshold(self):
-        for b in (extremal._SQUARE_BITS - 1, extremal._SQUARE_BITS):
+        for b in (extremal._KERNEL_BITS - 1, extremal._KERNEL_BITS):
             for x in ((1 << b) - 1, random.Random(b).getrandbits(b) | 1 << (b - 1)):
-                assert extremal._square(x) == x * x, b
+                assert extremal._mul(x, x) == x * x, b
+                y = -random.Random(-b).getrandbits(2 * b)
+                assert extremal._mul(x, y) == extremal._mul(y, x) == x * y, b
 
     @pytest.mark.parametrize("P", [*range(3, 13), 37])
     def test_ladder_matches_one_product_doublings(self, P, forced_kernel):
@@ -678,11 +705,21 @@ class TestSquareKernel:
                 expected = alpha * ((P * U + V) >> 1) + beta * U
                 assert extremal._combo(P, m, alpha, beta) == expected, (P, m, alpha, beta)
 
+    def test_small_calls_never_reach_the_kernel(self, monkeypatch):
+        def refuse(x, y):
+            raise AssertionError(f"_mul at {x.bit_length()} x {y.bit_length()} bits")
+
+        monkeypatch.setattr(extremal, "_mul", refuse)
+        for params in (MonoidParams(1, 1), MonoidParams(2, 3), MonoidParams(5, 7)):
+            for n in (1, 2, 1000, 99_999, 100_000):
+                mu_depth(params, n)
+                fseq(params, n)
+
     @pytest.mark.parametrize("P", [3, 8, 37])
     def test_full_size_lucas_against_the_ladder_mod_q(self, P):
         for m in (500_000, 515_021):
             pair = lucas(P, m)
-            assert pair.U.bit_length() > 2 * extremal._SQUARE_BITS
+            assert pair.U.bit_length() > 2 * extremal._KERNEL_BITS
             for q in (2**61 - 1, 2**127 - 1):
                 assert (pair.U % q, pair.V % q) == extremal._ladder(P, m, q), (P, m, q)
 
@@ -695,6 +732,18 @@ class TestSquareKernel:
             U, V = extremal._ladder(P, n >> 1, q)
             up = (P * U + V) * pow(2, -1, q)
             assert mu_depth(params, n) % q == (alpha * up + beta * U) % q, (u, v, n)
+
+    @pytest.mark.parametrize("u,v", [(1, 1), (2, 3), (5, 7)])
+    def test_full_size_fseq_against_the_ladder_mod_q(self, u, v):
+        # F_2k = v*U_k and F_(2k+1) = U_(k+1) - U_k; the three n take both
+        # parities of n and of the index k that _combo halves.
+        params, q = MonoidParams(u, v), 2**127 - 1
+        P = 2 + u * v
+        for n in (1_000_000, 1_000_003, 1_050_001):
+            U, V = extremal._ladder(P, n >> 1, q)
+            up = (P * U + V) * pow(2, -1, q)
+            expected = up - U if n % 2 else v * U
+            assert fseq(params, n) % q == expected % q, (u, v, n)
 
 
 class TestCollisionHorizon:
