@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import compress, count, islice
+from itertools import compress, count, islice, zip_longest
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -205,10 +205,10 @@ class HashState:
         return self
 
     def update(self, bits: Iterable[int]) -> "HashState":
-        """Consume bits in order; a list or tuple of 0/1 goes a byte at a time."""
+        """Consume bits in order; a list or tuple of 0/1 goes through update_bytes."""
         if type(bits) in (list, tuple):
             try:
-                raw = bytes(bits)
+                raw = bytearray(bits)
             except (TypeError, ValueError):
                 raw = None
             # Anything but 0/1 elements takes the per-bit path, which
@@ -223,19 +223,18 @@ class HashState:
         """Consume whole bytes, most significant bit first.
 
         Equal to update(bits_from_bytes_msb(data)): the hash is a monoid
-        homomorphism, so each byte's eight shear steps are one
-        precomputed matrix, applied as a single 2x2 product mod p.
+        homomorphism, so each byte's eight shear steps are one precomputed
+        matrix. Bytes go in pairs, reduced mod p once, an odd last one with the
+        identity: the first product, of entries below p, stays below 2p^2.
         """
         data = _as_bytes(data)
         p = self.params.p
         a, b, c, d = self.a, self.b, self.c, self.d
-        for e, f, g, h in map(_byte_table(self.params).__getitem__, data):
-            a, b, c, d = (
-                (a * e + b * g) % p,
-                (a * f + b * h) % p,
-                (c * e + d * g) % p,
-                (c * f + d * h) % p,
-            )
+        steps = map(_byte_table(self.params).__getitem__, data)
+        for (e, f, g, h), (i, j, k, m) in zip_longest(steps, steps, fillvalue=(1, 0, 0, 1)):
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            a, b, c, d = ((a * i + b * k) % p, (a * j + b * m) % p,
+                          (c * i + d * k) % p, (c * j + d * m) % p)
         self.a, self.b, self.c, self.d = a, b, c, d
         self.bits_consumed += 8 * len(data)
         return self
@@ -270,8 +269,7 @@ def hash_string(params: HashParams, bits: Iterable[int] | str) -> Digest:
     """One-shot hash of a bit sequence ('0'/'1' string or ints)."""
     if not isinstance(bits, str):
         return HashState(params).update(bits).digest()
-    bad = bits.lstrip("01")
-    if bad:
+    if bad := bits.lstrip("01"):
         raise ValueError(f"bit strings may only contain '0'/'1', got {bad[0]!r}")
     return HashState(params)._update_digits(bits).digest()
 
@@ -280,8 +278,7 @@ def _ascii01_digits(text: str) -> str:
     """The '0'/'1' characters of text; whitespace is dropped, anything else refused."""
     # str.split() drops exactly the characters for which str.isspace() holds.
     digits = "".join(text.split())
-    bad = digits.lstrip("01")
-    if bad:
+    if bad := digits.lstrip("01"):
         raise ValueError(
             f"invalid character {bad[0]!r}; expected '0', '1', or whitespace"
         )

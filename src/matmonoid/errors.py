@@ -159,9 +159,7 @@ def _decimal_digits(n: int, w: int, powers: dict[int, Decimal]) -> Decimal:
 def require_int(name: str, value: object, low: int) -> None:
     """Raise InvalidParams unless value is an int (not a bool) and at least low."""
     if type(value) is not int or value < low:
-        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
-            low, f"an integer >= {low}"
-        )
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
         raise InvalidParams(f"{name} must be {kind}, got {show(value)}")
 
 

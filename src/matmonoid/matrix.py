@@ -113,8 +113,7 @@ def validate_word(word: str) -> None:
     """Reject anything that is not a string over the alphabet {L, R}."""
     if not isinstance(word, str):
         raise ValueError("word must be a string over {L, R}")
-    bad = word.lstrip("LR")
-    if bad:
+    if bad := word.lstrip("LR"):
         raise ValueError(f"invalid word letter {bad[0]!r}; expected 'L' or 'R'")
 
 

@@ -104,8 +104,7 @@ class PolyN(_Record):
     def __str__(self) -> str:
         parts = []
         for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c:
+            if c := self.coeffs[i]:
                 xi = "" if i == 0 else "x" if i == 1 else f"x^{i}"
                 parts.append(xi if c == 1 and i else decimal_str(c) + xi)
         return " + ".join(parts) or "0"

@@ -455,6 +455,32 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @needs_digit_cap
+    def test_an_integer_past_the_digit_cap_names_the_knob(self, capsys):
+        limit = sys.get_int_max_str_digits() or DIGIT_CAP
+        with digit_cap(limit), pytest.raises(SystemExit) as exc:
+            main(["bound", "--u", "1", "--v", "1", "--p", "3" * (limit + 1)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1 and len(errors[0]) < 200
+        assert errors[0].endswith(f"argument --p: an integer of {limit + 1} digits, above the "
+                                  f"limit of {limit}; raise it with PYTHONINTMAXSTRDIGITS")
+
+    @needs_digit_cap
+    def test_the_digit_cap_lifted_the_same_integer_is_read(self, monkeypatch):
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+        proc = run_python("-m", "matmonoid.cli", "bound", "--u", "1", "--v", "1",
+                          "--p", "3" * (DIGIT_CAP + 1))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: p must be prime, got 333")
+
+    @pytest.mark.parametrize("text", ["1e3", "--3", "3.0", "0x10", "٣²"])
+    def test_a_non_integer_is_echoed(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--u", "1", "--v", "1", f"--p={text}"])
+        assert exc.value.code == 2
+        assert f"argument --p: expected an integer, got {text!r}" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -57,12 +57,14 @@ WIDE_NO_COLLISION = [(5, 7, 2**127 - 1), (10**23, 10**23, PRIME_2048)]
 HORIZON_PAIRS = [(1, 1), (1, 6), (6, 1), (2, 3), (3, 2), (5, 7), (6, 6)]
 
 # The kernel's moduli: tiny (every byte-table entry reduced), small, and
-# multi-word primes where the table entries stay unreduced.
+# multi-word primes where the table entries stay unreduced; then the RFC 3526
+# prime, and (10^23, 10^23) mod 2^127 - 1, whose table entries are as wide as
+# p, so that a byte pair's unreduced product is at its widest.
 KERNEL_PARAMS = [
     HashParams(u, v, p)
     for p in (2, 5, 101, 2**61 - 1, 2**521 - 1)
     for u, v in ((1, 1), (2, 3), (5, 7))
-]
+] + [HashParams(2, 3, PRIME_2048), HashParams(10**23, 10**23, 2**127 - 1)]
 # Up to 11 whole bytes, followed by a tail of any length mod 8.
 long_bit_lists = st.lists(st.integers(0, 1), max_size=90)
 # Elements the byte packer refuses; the per-bit path decides each one.
@@ -583,6 +585,42 @@ class TestByteTableKernel:
             with pytest.raises(ValueError) as exc:
                 hash_string(hp, text)
             assert str(exc.value) == f"bit strings may only contain '0'/'1', got {bad!r}"
+
+    @pytest.mark.parametrize("hp", KERNEL_PARAMS, ids=repr)
+    def test_byte_pairs_match_the_per_bit_fold(self, hp):
+        """update_bytes reduces once per byte pair; an odd count ends on the identity.
+        Every call, odd or even, leaves all four entries reduced into [0, p)."""
+        data = b"\xff\x96\x00\xc3\x5a"
+        for n in range(len(data) + 1):
+            ref = HashState(hp)
+            fold(ref, bits_from_bytes_msb(data[:n]))
+            state = HashState(hp).update_bytes(data[:n])
+            assert snapshot(state) == snapshot(ref)
+            assert all(0 <= x < hp.p for x in snapshot(state)[:4])
+        split = HashState(hp).update_bytes(data[:3])
+        assert all(0 <= x < hp.p for x in snapshot(split)[:4])
+        split.update_bytes(data[3:])
+        assert snapshot(split) == snapshot(state)
+        assert all(0 <= x < hp.p for x in snapshot(split)[:4])
+
+    @pytest.mark.parametrize("whole", [1, 3, 5])
+    def test_bit_lists_with_odd_bytes_and_a_tail_take_the_packer(self, whole, monkeypatch):
+        packed = []
+        update_digits = HashState._update_digits
+
+        def spy(self, digits):
+            packed.append(type(digits))
+            return update_digits(self, digits)
+
+        monkeypatch.setattr(HashState, "_update_digits", spy)
+        for hp in KERNEL_PARAMS:
+            for tail in range(1, 8):
+                bits = [(i * 7 + tail) % 5 % 2 for i in range(8 * whole + tail)]
+                ref = HashState(hp)
+                fold(ref, bits)
+                assert hash_string(hp, bits) == ref.digest()
+                assert snapshot(HashState(hp).update(tuple(bits))) == snapshot(ref)
+        assert packed == [bytearray] * (2 * 7 * len(KERNEL_PARAMS))
 
     @given(st.sampled_from(KERNEL_PARAMS), st.binary(max_size=40), long_bit_lists)
     @settings(max_examples=100)
