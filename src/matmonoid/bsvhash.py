@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParams, _Record, require_enum_size, require_int, show
 from .extremal import _ladder, collision_horizon
-from .matrix import Mat2, MonoidParams, _Quad, _lane_walk
+from .matrix import Mat2, MonoidParams, _Quad
 
 __all__ = [
     "DEFAULT_COLLISION_LIMIT",
@@ -256,10 +256,49 @@ class HashState:
         return Digest(self.a, self.b, self.c, self.d)
 
 
+def _lane_walk(params: HashParams, k: int) -> Iterator[tuple[_Quad, int]]:
+    """((a, b, c, d), w) for j = 0..k: lane i (w bits) of each int holds that
+    entry of the digest of the i-th length-j string in shortlex order (0 first);
+    L_u*M fill the low half of a level. No lane carries: w, a multiple of 16,
+    keeps a spare top bit above the row bounds of the words starting with L and
+    with R, stepped alongside, or above (1+t)(p-1) for t = max(u, v) mod p, if
+    less. Subtracting p*2^i where an entry is at least that, for i from
+    bitlen(bound // p) - 1 down, leaves it mod p.
+    """
+    u, v, p = params.u, params.v, params.p
+    a = d = a0 = c0 = a1 = c1 = 1
+    b = c = 0
+    for _ in range(k):
+        a0, c0, a1, c1 = (max(a0, a1), max(c0 + u * a0, c1 + u * a1),
+                          max(a0 + v * c0, a1 + v * c1), max(c0, c1))
+    u, v = u % p, v % p
+    bound = min(max(a0, c0, a1, c1), (1 + max(u, v)) * (p - 1))
+    w, shifts = bound.bit_length() + 16 & -16, (bound // p).bit_length()
+    top, q = 1 << w - 1, p << shifts
+    for j in range(k):
+        yield (a, b, c, d), w
+        s = w << j
+        a, c = a | a + v * c << s, c + u * a | c << s
+        b, d = b | b + v * d << s, d + u * b | d << s
+        if shifts:
+            top, q = top | top << s, q | q << s
+            for i in range(1, shifts + 1):
+                qi = q >> i
+                a, b, c, d = (x - (qi & _lanes_at_least(x, qi, top, w)) for x in (a, b, c, d))
+    yield (a, b, c, d), w
+
+
+def _lanes_at_least(x: int, y: int, top: int, w: int) -> int:
+    """Ones in each w-bit lane where x >= y, for lanes with the top bit clear:
+    (x | top) - y keeps a lane's top bit exactly then, with no borrow."""
+    t = (x | top) - y & top
+    return t - (t >> w - 1)
+
+
 @lru_cache(maxsize=64)
 def _byte_table(params: HashParams) -> tuple[_Quad, ...]:
     """The hash of every 8-bit word mod p, indexed by its byte value: lane e of level 8."""
-    *_, (entries, w) = _lane_walk((1, 0, 0, 1), params.u, params.v, 8, params.p)
+    *_, (entries, w) = _lane_walk(params, 8)
     n = w >> 3
     return tuple(zip(*([int.from_bytes(raw[i:i + n], "little") for i in range(0, n << 8, n)]
                        for raw in (x.to_bytes(n << 8, "little") for x in entries))))
@@ -338,12 +377,10 @@ def bound_n0(params: HashParams) -> int:
     return collision_horizon(params.monoid_params, params.p)
 
 
-def _fingerprinted_levels(
-    params: HashParams, max_len: int
-) -> Iterator[tuple[memoryview, bytearray]]:
-    """_fingerprinted_level of each level of matrix._lane_walk to max_len, which
+def _fingerprinted_levels(params: HashParams, max_len: int) -> Iterator[tuple[memoryview, bytearray]]:
+    """_fingerprinted_level of each level of _lane_walk to max_len, which
     sets the lane width; a generator expression holds no level it has yielded."""
-    walk = _lane_walk((1, 0, 0, 1), params.u, params.v, max_len, params.p)
+    walk = _lane_walk(params, max_len)
     return (_fingerprinted_level(entries, w, k) for k, (entries, w) in enumerate(walk))
 
 

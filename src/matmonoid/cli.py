@@ -9,11 +9,10 @@ inside its own function: `mu` never loads the hash, the tree or json.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from . import __version__
-from .errors import MatMonoidError, decimal_str
+from .errors import MatMonoidError, decimal_str, past_digit_cap
 from .matrix import IDENTITY, MonoidParams
 
 
@@ -24,12 +23,8 @@ def _int_at_least(low: int, kind: str):
         try:
             value = int(text)
         except ValueError:
-            # Only past the int digit cap of Python 3.10.7 and later is a string of digits refused.
-            if digits := re.fullmatch(r"\s*[+-]?(\d+)\s*", text):
-                raise argparse.ArgumentTypeError(
-                    f"an integer of {len(digits[1])} digits, above the limit of "
-                    f"{sys.get_int_max_str_digits()}; raise it with PYTHONINTMAXSTRDIGITS") from None
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+            why = past_digit_cap(text) or f"expected an integer, got {text!r}"
+            raise argparse.ArgumentTypeError(why) from None
         if value < low:
             raise argparse.ArgumentTypeError(f"expected {kind}, got {value}")
         return value

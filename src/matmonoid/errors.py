@@ -1,9 +1,10 @@
 """Exception types, the base of the value classes, the shared integer check,
-the enumeration and output caps, and the two renderers that know the int
-digit cap: show for messages, decimal_str for answers."""
+the enumeration and output caps, and what knows the int digit cap: show for
+messages, decimal_str for answers, past_digit_cap for refused input."""
 from __future__ import annotations
 
 import os
+import re
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 
@@ -163,13 +164,23 @@ def require_int(name: str, value: object, low: int) -> None:
         raise InvalidParams(f"{name} must be {kind}, got {show(value)}")
 
 
+def past_digit_cap(text: str) -> str | None:
+    """Why int() refused text if text is a decimal integer, else None: only past
+    the int digit cap of Python 3.10.7 and later is one refused."""
+    if digits := re.fullmatch(r"\s*[+-]?(\d+)\s*", text):
+        return (f"an integer of {len(digits[1])} digits, above the limit of "
+                f"{sys.get_int_max_str_digits()}; raise it with PYTHONINTMAXSTRDIGITS")
+    return None
+
+
 def _cap(env: str, default: int) -> int:
     """The integer in the environment variable env, else default."""
     value = os.environ.get(env)
     try:
         return default if value is None else int(value)
     except ValueError:
-        raise LimitExceeded(f"{env} must be an integer, got {value!r}") from None
+        raise LimitExceeded(f"{env} is {past}" if (past := past_digit_cap(value))
+                            else f"{env} must be an integer, got {value!r}") from None
 
 
 def require_enum_size(what: str, k: int, noun: str, default: int) -> None:

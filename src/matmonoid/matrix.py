@@ -12,8 +12,6 @@ integers throughout.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import NotInMonoid, _Record, decimal_str, require_int, require_output_size, show
 
 __all__ = [
@@ -317,43 +315,3 @@ def _mul(m: _Quad, n: _Quad) -> _Quad:
     e, f, g, h = n
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
-
-def _lane_walk(root: _Quad, u: int, v: int, k: int, p: int = 0) -> Iterator[tuple[_Quad, int]]:
-    """((a, b, c, d), w) for j = 0..k: lane i (w bits) of each int holds that
-    entry of G*root, G the i-th length-j word in shortlex order (L first), mod p
-    if p is given (root's entries below p); L_u*M fill the low half of a level.
-    No lane carries: w, a multiple of 16, keeps a spare top bit above the row
-    bounds of the words starting with L and with R, stepped alongside, or with
-    p above (1+t)(p-1) for t = max(u, v) mod p, if less. Subtracting p*2^i where
-    an entry is at least that, for i from bitlen(bound // p) - 1 down, leaves it mod p.
-    """
-    a, b, c, d = root
-    a0 = a1 = max(a, b)
-    c0 = c1 = max(c, d)
-    for _ in range(k):
-        a0, c0, a1, c1 = (max(a0, a1), max(c0 + u * a0, c1 + u * a1),
-                          max(a0 + v * c0, a1 + v * c1), max(c0, c1))
-    bound = max(a0, c0, a1, c1)
-    if p:
-        u, v = u % p, v % p
-        bound = min(bound, (1 + max(u, v)) * (p - 1))
-    w, shifts = bound.bit_length() + 16 & -16, (bound // p if p else 0).bit_length()
-    top, q = 1 << w - 1, p << shifts
-    for j in range(k):
-        yield (a, b, c, d), w
-        s = w << j
-        a, c = a | a + v * c << s, c + u * a | c << s
-        b, d = b | b + v * d << s, d + u * b | d << s
-        if shifts:
-            top, q = top | top << s, q | q << s
-            for i in range(1, shifts + 1):
-                qi = q >> i
-                a, b, c, d = (x - (qi & _lanes_at_least(x, qi, top, w)) for x in (a, b, c, d))
-    yield (a, b, c, d), w
-
-
-def _lanes_at_least(x: int, y: int, top: int, w: int) -> int:
-    """Ones in each w-bit lane where x >= y, for lanes with the top bit clear:
-    (x | top) - y keeps a lane's top bit exactly then, with no borrow."""
-    t = (x | top) - y & top
-    return t - (t >> w - 1)

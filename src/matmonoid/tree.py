@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import starmap
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import (IndexOutOfRange, InvalidParams, _Record, require_enum_size,
                      require_output_size, show)
-from .matrix import (_MIRROR, IDENTITY, Mat2, MonoidParams, _Quad, _lane_walk, _lanes_at_least,
-                     word_to_matrix)
+from .matrix import _MIRROR, IDENTITY, Mat2, MonoidParams, _Quad, word_to_matrix
 
 __all__ = [
     "DEFAULT_ROW_LIMIT",
@@ -36,8 +35,6 @@ __all__ = [
 # this many cells instead of grinding silently. The environment variable
 # raises or lowers the ceiling without code changes.
 DEFAULT_ROW_LIMIT = 2**20
-# Levels mu_row_bruteforce packs into ints; 12 beat 8, 10, 14 and 16 at depths 17-20.
-_BLOCK = 12
 
 _BITS_TO_LETTERS = str.maketrans("01", "LR")
 
@@ -131,31 +128,30 @@ def row(root: Mat2, params: MonoidParams, n: int) -> TreeRow:
 
 
 def mu_row_bruteforce(params: MonoidParams, n: int) -> int:
-    """Exact max entry over all 2^n depth-n matrices, by enumeration.
+    """Exact max entry over all 2^n depth-n matrices, by enumeration of two halves.
 
-    This is the trusted-but-slow reference the closed forms are checked against,
-    and it uses none of them. matrix._lane_walk packs the last _BLOCK levels, or all.
+    The trusted-but-slow reference the closed forms are checked against; it uses
+    none of them. The depth-n products are the G*H with G of depth k = n // 2
+    and H of depth n - k, so every pair of a row of a G and a column of an H is
+    an entry of one, and each entry is such a pair. Entries are nonnegative: a
+    row or column that another bounds entrywise never gives the maximum, so
+    only the _fronts are paired. About 2^(n/2+1) cells are visited, O(n) held.
     """
     require_row(n)
-    k = min(n, _BLOCK)
-    return max(_packed_max(root, params, k) for root in _row_cells(IDENTITY, params, n - k))
+    k = n // 2
+    rows = _front(r for a, b, c, d in _row_cells(IDENTITY, params, k) for r in ((a, b), (c, d)))
+    cols = _front(r for a, b, c, d in _row_cells(IDENTITY, params, n - k) for r in ((a, c), (b, d)))
+    return max(x * s + y * t for x, y in rows for s, t in cols)
 
 
-def _packed_max(root: _Quad, params: MonoidParams, k: int) -> int:
-    """The max entry over the 2^k depth-k descendants of root, lane by lane in halves."""
-    for (a, b, c, d), w in _lane_walk(root, params.u, params.v, k):
-        pass
-    top = int.from_bytes((1 << w - 1).to_bytes(w >> 3, "little") * (1 << k), "little")
-
-    def lane_max(x: int, y: int, top: int) -> int:
-        return y ^ (x ^ y) & _lanes_at_least(x, y, top, w)
-
-    x = lane_max(lane_max(a, b, top), lane_max(c, d, top), top)
-    for j in range(k - 1, -1, -1):
-        low = (1 << (w << j)) - 1
-        top &= low
-        x = lane_max(x & low, x >> (w << j), top)
-    return x
+def _front(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pairs that no other pair bounds entrywise, each once, in one pass
+    that holds only the front of the pairs seen so far."""
+    front: list[tuple[int, int]] = []
+    for x, y in pairs:
+        if not any(x <= s and y <= t for s, t in front):
+            front = [(s, t) for s, t in front if s > x or t > y] + [(x, y)]
+    return front
 
 
 def cell(n: int, i: int, params: MonoidParams) -> Mat2:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import matmonoid
-from matmonoid import InvalidParams, MonoidParams, errors, mu_depth, suites, tree, witness
+from matmonoid import InvalidParams, MonoidParams, errors, extremal, mu_depth, suites, tree, witness
 from matmonoid.cli import _SUITE_CHOICES, main
 from matmonoid.errors import _STR_BITS, decimal_str
 from matmonoid.matrix import IDENTITY
@@ -397,6 +397,18 @@ class TestVerifyCommand:
             "7/8 checks passed\n"
         )
 
+    @pytest.mark.parametrize("module,name", [(tree, "mu_row_bruteforce"), (extremal, "mu_depth")])
+    def test_max_entry_oracle_fails_on_one_wrong_value(self, monkeypatch, module, name):
+        # One more at (3, 2, 7), from either side, is the one failure reported.
+        true_value = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda params, n: true_value(params, n) + (
+            (params.u, params.v, n) == (3, 2, 7)))
+        result = suites.check_max_entry_oracle(10)
+        right = mu_depth(MonoidParams(3, 2), 7)
+        lucas, brute = (right + 1, right) if module is extremal else (right, right + 1)
+        assert (result.passed, result.failures) == (
+            False, [f"u=3 v=2 n=7: lucas {lucas} != brute {brute}"])
+
     def test_polydom_suite_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "polydom"])
         assert code == 0
@@ -473,6 +485,33 @@ class TestUsageErrors:
                           "--p", "3" * (DIGIT_CAP + 1))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: p must be prime, got 333")
+
+    @needs_digit_cap
+    @pytest.mark.parametrize("env,argv,want", [
+        (errors.ENUM_LIMIT_ENV, ["mu", "--method", "brute", "--u", "1", "--v", "1", "--depth", "5"],
+         lambda: mu_depth(MonoidParams(1, 1), 5)),
+        # An answer of some 75 KB, past the output floor, so the cap is read.
+        (errors.OUTPUT_LIMIT_ENV, ["mu", "--u", str(10**23), "--v", str(10**23), "--depth", "8000"],
+         lambda: mu_depth(MonoidParams(10**23, 10**23), 8000)),
+    ], ids=["enum", "output"])
+    def test_a_limit_past_the_digit_cap_names_both_knobs(self, monkeypatch, env, argv, want):
+        answer = decimal_str(want()) + "\n"
+        monkeypatch.setenv(env, "7" * (DIGIT_CAP + 1))
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", str(DIGIT_CAP))
+        proc = run_python("-m", "matmonoid.cli", *argv)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 200
+        assert proc.stderr == (f"error: {env} is an integer of {DIGIT_CAP + 1} digits, above the "
+                               f"limit of {DIGIT_CAP}; raise it with PYTHONINTMAXSTRDIGITS\n")
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+        proc = run_python("-m", "matmonoid.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer, "")
+
+    @pytest.mark.parametrize("env", [errors.ENUM_LIMIT_ENV, errors.OUTPUT_LIMIT_ENV])
+    def test_a_limit_that_is_not_a_number_is_echoed(self, monkeypatch, env):
+        monkeypatch.setenv(env, "lots")
+        with pytest.raises(errors.LimitExceeded, match=f"^{env} must be an integer, got 'lots'$"):
+            errors._cap(env, 1)
 
     @pytest.mark.parametrize("text", ["1e3", "--3", "3.0", "0x10", "٣²"])
     def test_a_non_integer_is_echoed(self, capsys, text):

@@ -33,10 +33,11 @@ from matmonoid import (
     word_to_matrix,
 )
 from matmonoid import bsvhash
-from matmonoid.bsvhash import _extra_strong_lucas, _jacobi, _miller_rabin_witness, _split_two
+from matmonoid.bsvhash import (_extra_strong_lucas, _jacobi, _lane_walk, _miller_rabin_witness,
+                               _split_two)
 from matmonoid.errors import ENUM_LIMIT_ENV
 from matmonoid.extremal import _ladder
-from matmonoid.matrix import _Quad, _lane_walk
+from matmonoid.matrix import _Quad
 from test_acceptance import PRIME_2048
 from test_extremal import collision_horizon_by_search
 
@@ -853,22 +854,20 @@ class TestExhaustiveCollisionCheck:
             assert string_keyed_collision_search(hp, lengths[-1]) is None
 
     # At (210, 1, 211) the lane bound has exactly 16 bits, so only the spare
-    # top bit widens the lanes to 32; below the horizon at large primes no
-    # lane is ever reduced.
+    # top bit widens the lanes to 32. At the large primes the lanes are sized
+    # by the exact row bounds, and up to the horizon no lane is ever reduced,
+    # so there the residues are the exact products.
     @pytest.mark.parametrize("u,v,p", SMALL_GRID + HUGE_MULTIPLIERS + [(210, 1, 211)] + [
         (u, v, p) for p in (2**127 - 1, 2**521 - 1, PRIME_2048)
         for u, v in HORIZON_PAIRS + [(10**23, 10**23)]
     ], ids=lambda x: str(x) if x < 2**32 else f"{x.bit_length()}-bit")
     def test_lane_walk_visits_the_states_of_levels(self, u, v, p):
-        # Lane i of level k holds the product of the i-th word of length k in
-        # shortlex order, L before R, and with a modulus that product's residues.
+        # Lane i of level k holds the residues of the product of the i-th word
+        # of length k in shortlex order, L before R.
         params = MonoidParams(u, v)
-        levels = zip(_lane_walk((1, 0, 0, 1), u, v, 10), _lane_walk((1, 0, 0, 1), u, v, 10, p))
-        for k, ((exact, w), (residues, wp)) in enumerate(levels):
+        for k, (residues, wp) in enumerate(_lane_walk(HashParams(u, v, p), 10)):
             words = [bin(1 << k | i)[3:].translate(BITS_TO_LETTERS) for i in range(1 << k)]
             products = [word_to_matrix(word, params) for word in words]
-            assert lane_states(exact, w, 1 << k) == [
-                (m.a, m.b, m.c, m.d) for m in products], k
             assert lane_states(residues, wp, 1 << k) == [
                 (m.a % p, m.b % p, m.c % p, m.d % p) for m in products], k
 

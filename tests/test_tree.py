@@ -9,7 +9,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import matmonoid
 from matmonoid import (
@@ -208,8 +208,9 @@ def plain_maxima(params, depth):
 WIDE_PARAMS = [(2**64, 1), (1, 2**64), (10**23, 3), (2, 10**23), (10**40, 7), (10**40, 10**40)]
 
 
-class TestPackedEnumeration:
-    """mu_row_bruteforce enumerates the last levels packed into big-integer lanes."""
+class TestSplitEnumeration:
+    """mu_row_bruteforce pairs the entrywise-maximal rows of one half with the
+    entrywise-maximal columns of the other."""
 
     @pytest.mark.parametrize("u", range(1, 9))
     def test_matches_a_plain_enumeration(self, u):
@@ -219,20 +220,30 @@ class TestPackedEnumeration:
                 assert mu_row_bruteforce(params, n) == want, (u, v, n)
 
     @pytest.mark.parametrize("uv", [(1, 1), (2, 3), (8, 1), *WIDE_PARAMS])
-    def test_around_one_block(self, uv):
-        # Up to depth _BLOCK the root alone is packed; one deeper, each of its children.
+    def test_around_the_split(self, uv):
+        # Depth 0 splits into two empty halves, depth 1 into an empty one and
+        # one letter; odd depths give the second half one level more.
         params = MonoidParams(*uv)
-        want = plain_maxima(params, tree._BLOCK + 1)
-        for n in (0, 1, tree._BLOCK - 1, tree._BLOCK, tree._BLOCK + 1):
+        want = plain_maxima(params, 13)
+        for n in (0, 1, 2, 3, 12, 13):
             assert mu_row_bruteforce(params, n) == want[n], n
 
-    @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_many_blocks(self, monkeypatch, block):
-        monkeypatch.setattr(tree, "_BLOCK", block)
-        for uv in [(1, 1), (2, 3), (5, 7), (3, 2**64)]:
-            params = MonoidParams(*uv)
-            for n, want in enumerate(plain_maxima(params, 9)):
-                assert mu_row_bruteforce(params, n) == want, (uv, n)
+    @pytest.mark.parametrize("uv", [(5, 7), (3, 2**64)])
+    def test_matches_a_plain_enumeration_on_more_pairs(self, uv):
+        params = MonoidParams(*uv)
+        for n, want in enumerate(plain_maxima(params, 9)):
+            assert mu_row_bruteforce(params, n) == want, (uv, n)
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=40))
+    @example([(3, 4)])
+    @example([(2, 5), (5, 2), (2, 5), (4, 4), (5, 2), (1, 1)])
+    def test_front_is_the_set_of_maximal_pairs(self, pairs):
+        # Small coordinates force ties and duplicates; min_size 1 includes a single point.
+        maximal = {p for p in pairs
+                   if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pairs)}
+        front = tree._front(iter(pairs))
+        assert len(front) == len(set(front))
+        assert set(front) == maximal
 
     @pytest.mark.parametrize("uv", [(1, 1), (2, 3), (5, 7)])
     def test_matches_the_lucas_value_at_the_cap(self, uv):
@@ -241,17 +252,29 @@ class TestPackedEnumeration:
 
     def test_cap_depth_in_little_memory(self):
         # A depth-20 row held as 2^20 tuples needs some 300 MB, past this limit.
-        src = str(Path(matmonoid.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        limit = 200 * 2**20
-        proc = subprocess.run(
-            [sys.executable, "-m", "matmonoid.cli", "mu", "--method", "brute",
-             "--u", "5", "--v", "7", "--depth", "20"],
-            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        proc = brute_force_in_200_mb(20)
         want = mu_depth(MonoidParams(5, 7), 20)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{want}\n", "")
+
+    def test_depth_30_in_little_memory_with_the_cap_raised(self):
+        # Two halves of 2^15 cells each, where a full row would be 2^30.
+        proc = brute_force_in_200_mb(30, **{ENUM_LIMIT_ENV: str(2**30)})
+        want = mu_depth(MonoidParams(5, 7), 30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{want}\n", "")
+
+
+def brute_force_in_200_mb(depth, **env):
+    """`mu --method brute` on (5, 7) in a child process with a 200 MB address space."""
+    src = str(Path(matmonoid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    limit = 200 * 2**20
+    return subprocess.run(
+        [sys.executable, "-m", "matmonoid.cli", "mu", "--method", "brute",
+         "--u", "5", "--v", "7", "--depth", str(depth)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
 
 
 class TestCellAccess:
