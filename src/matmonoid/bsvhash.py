@@ -256,15 +256,15 @@ class HashState:
         return Digest(self.a, self.b, self.c, self.d)
 
 
-def _lane_walk(params: HashParams, k: int) -> Iterator[tuple[_Quad, int]]:
-    """((a, b, c, d), w) for j = 0..k: lane i (w bits) of each int holds that
-    entry of the digest of the i-th length-j string in shortlex order (0 first);
-    L_u*M fill the low half of a level. No lane carries: w, a multiple of 16,
-    keeps a spare top bit above the row bounds of the words starting with L and
-    with R, stepped alongside, or above (1+t)(p-1) for t = max(u, v) mod p, if
-    less. Subtracting p*2^i where an entry is at least that, for i from
-    bitlen(bound // p) - 1 down, leaves it mod p.
-    """
+def _fingerprinted_levels(params: HashParams, k: int) -> Iterator[tuple[memoryview, bytearray]]:
+    """_fingerprinted_level of each level j = 0..k, packed in four ints: lane i (w
+    bits) of each holds that entry of the digest of the i-th length-j string in
+    shortlex order (0 first); L_u*M fill the low half of a level. No lane carries:
+    w, a multiple of 16, keeps a spare top bit above the row bounds of the words
+    starting with L and with R to length k, stepped alongside, or above (1+t)(p-1)
+    for t = max(u, v) mod p, if less. Subtracting p*2^i where an entry is at least
+    that, for i from bitlen(bound // p) - 1 down, leaves it mod p. Holds no level
+    it has yielded."""
     u, v, p = params.u, params.v, params.p
     a = d = a0 = c0 = a1 = c1 = 1
     b = c = 0
@@ -276,7 +276,7 @@ def _lane_walk(params: HashParams, k: int) -> Iterator[tuple[_Quad, int]]:
     w, shifts = bound.bit_length() + 16 & -16, (bound // p).bit_length()
     top, q = 1 << w - 1, p << shifts
     for j in range(k):
-        yield (a, b, c, d), w
+        yield _fingerprinted_level((a, b, c, d), w, j)
         s = w << j
         a, c = a | a + v * c << s, c + u * a | c << s
         b, d = b | b + v * d << s, d + u * b | d << s
@@ -285,7 +285,7 @@ def _lane_walk(params: HashParams, k: int) -> Iterator[tuple[_Quad, int]]:
             for i in range(1, shifts + 1):
                 qi = q >> i
                 a, b, c, d = (x - (qi & _lanes_at_least(x, qi, top, w)) for x in (a, b, c, d))
-    yield (a, b, c, d), w
+    yield _fingerprinted_level((a, b, c, d), w, k)
 
 
 def _lanes_at_least(x: int, y: int, top: int, w: int) -> int:
@@ -298,10 +298,10 @@ def _lanes_at_least(x: int, y: int, top: int, w: int) -> int:
 @lru_cache(maxsize=64)
 def _byte_table(params: HashParams) -> tuple[_Quad, ...]:
     """The hash of every 8-bit word mod p, indexed by its byte value: lane e of level 8."""
-    *_, (entries, w) = _lane_walk(params, 8)
-    n = w >> 3
-    return tuple(zip(*([int.from_bytes(raw[i:i + n], "little") for i in range(0, n << 8, n)]
-                       for raw in (x.to_bytes(n << 8, "little") for x in entries))))
+    *_, (_, lanes) = _fingerprinted_levels(params, 8)
+    n = len(lanes) >> 10
+    entries = iter([int.from_bytes(lanes[i:i + n], "little") for i in range(0, len(lanes), n)])
+    return tuple(zip(entries, entries, entries, entries))
 
 
 def hash_string(params: HashParams, bits: Iterable[int] | str) -> Digest:
@@ -375,13 +375,6 @@ def bound_n0(params: HashParams) -> int:
     and unchanged by the mod-p reduction.
     """
     return collision_horizon(params.monoid_params, params.p)
-
-
-def _fingerprinted_levels(params: HashParams, max_len: int) -> Iterator[tuple[memoryview, bytearray]]:
-    """_fingerprinted_level of each level of _lane_walk to max_len, which
-    sets the lane width; a generator expression holds no level it has yielded."""
-    walk = _lane_walk(params, max_len)
-    return (_fingerprinted_level(entries, w, k) for k, (entries, w) in enumerate(walk))
 
 
 def _fingerprinted_level(entries: _Quad, w: int, k: int) -> tuple[memoryview, bytearray]:

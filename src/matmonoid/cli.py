@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu.add_argument(
         "--method", choices=("lucas", "witness", "brute"), default="lucas",
         help="lucas: O(log n) doubling; witness: build the extremal word; "
-        "brute: enumerate the full row (default: lucas)",
+        "brute: enumerate two half-depth rows (default: lucas)",
     )
 
     p_wit = sub.add_parser("witness", help="a word attaining the depth maximum")

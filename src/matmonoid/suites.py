@@ -592,9 +592,9 @@ def check_below_horizon_exact(seed: int = RNG_SEED) -> _Failures:
 SUITE_NAMES = tuple(_SUITES)
 # The depth knob sizes these suites; polydom and hash run fixed ranges.
 _DEPTH_SUITES = ("formulas", "symmetry")
-# Ceiling of the depth knob (verify --max-depth). The formulas suite grows
-# with the depth; at this ceiling `verify --suite all` takes about 6.5 s
-# (Python 3.11, 2 vCPU).
+# Ceiling of the depth knob (verify --max-depth). Both depth suites grow
+# with it; at this ceiling `verify --suite all` takes about 3 s
+# (Python 3.11, 2 shared vCPU).
 MAX_DEPTH = 300
 
 

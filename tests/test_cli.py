@@ -539,6 +539,15 @@ class TestHelp:
         assert exc.value.code == 0
         assert capsys.readouterr().out == (Path(__file__).parent / "data" / name).read_text()
 
+    def test_mu_help_describes_the_brute_force_by_halves(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["mu", "--help"])
+        assert exc.value.code == 0
+        assert " ".join(capsys.readouterr().out.split()).endswith(
+            "--method {lucas,witness,brute} lucas: O(log n) doubling; witness: build the "
+            "extremal word; brute: enumerate two half-depth rows (default: lucas)")
+
 
 def run_python(*args):
     """A fresh interpreter that imports this checkout's matmonoid."""

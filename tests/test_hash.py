@@ -33,8 +33,8 @@ from matmonoid import (
     word_to_matrix,
 )
 from matmonoid import bsvhash
-from matmonoid.bsvhash import (_extra_strong_lucas, _jacobi, _lane_walk, _miller_rabin_witness,
-                               _split_two)
+from matmonoid.bsvhash import (_extra_strong_lucas, _fingerprinted_levels, _jacobi,
+                               _miller_rabin_witness, _split_two)
 from matmonoid.errors import ENUM_LIMIT_ENV
 from matmonoid.extremal import _ladder
 from matmonoid.matrix import _Quad
@@ -96,17 +96,6 @@ def fold(state, bits):
 
 def snapshot(state):
     return (state.a, state.b, state.c, state.d, state.bits_consumed)
-
-
-def lane_states(entries, w, lanes):
-    """The (a, b, c, d) of each w-bit lane of a packed level's four ints, lowest lane first."""
-    width = w // 8
-    columns = []
-    for x in entries:
-        raw = x.to_bytes(lanes * width, "little")
-        columns.append([int.from_bytes(raw[i:i + width], "little")
-                        for i in range(0, len(raw), width)])
-    return list(zip(*columns))
 
 
 def string_keyed_collision_search(params, max_len):
@@ -864,11 +853,14 @@ class TestExhaustiveCollisionCheck:
     def test_lane_walk_visits_the_states_of_levels(self, u, v, p):
         # Lane i of level k holds the residues of the product of the i-th word
         # of length k in shortlex order, L before R.
+        # Each lane is its a, b, c and d, n bytes each, little-endian.
         params = MonoidParams(u, v)
-        for k, (residues, wp) in enumerate(_lane_walk(HashParams(u, v, p), 10)):
+        for k, (_, lanes) in enumerate(_fingerprinted_levels(HashParams(u, v, p), 10)):
             words = [bin(1 << k | i)[3:].translate(BITS_TO_LETTERS) for i in range(1 << k)]
             products = [word_to_matrix(word, params) for word in words]
-            assert lane_states(residues, wp, 1 << k) == [
+            n = len(lanes) >> k + 2
+            entries = iter([int.from_bytes(lanes[i:i + n], "little") for i in range(0, len(lanes), n)])
+            assert list(zip(entries, entries, entries, entries)) == [
                 (m.a % p, m.b % p, m.c % p, m.d % p) for m in products], k
 
     @pytest.mark.parametrize("u,v,p", SMALL_GRID)
