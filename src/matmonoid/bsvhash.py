@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParams, _Record, require_enum_size, require_int, show
-from .extremal import _ladder, collision_horizon
+from .extremal import _ladder, collision_horizon, mu_depth
 from .matrix import Mat2, MonoidParams, _Quad
 
 __all__ = [
@@ -213,7 +213,7 @@ class HashState:
                 raw = None
             # Anything but 0/1 elements takes the per-bit path, which
             # raises at the first bad element with the same partial state.
-            if raw is not None and not raw.strip(b"\x00\x01"):
+            if raw is not None and not raw.translate(None, b"\x00\x01"):
                 return self._update_digits(raw.translate(_BITS_TO_DIGITS))
         for bit in bits:
             self.update_bit(bit)
@@ -224,17 +224,29 @@ class HashState:
 
         Equal to update(bits_from_bytes_msb(data)): the hash is a monoid
         homomorphism, so each byte's eight shear steps are one precomputed
-        matrix. Bytes go in pairs, reduced mod p once, an odd last one with the
-        identity: the first product, of entries below p, stays below 2p^2.
-        """
+        matrix. Where mu(32) < p, four bytes' matrices multiply exactly, to a
+        depth-32 product of entries at most mu(32) < p, which the state takes with
+        one reduction mod p; elsewhere bytes go in pairs, reduced once. A short
+        last block ends on the identity. Either way the state's first product, of
+        entries below p, stays below 2p^2."""
         data = _as_bytes(data)
         p = self.params.p
         a, b, c, d = self.a, self.b, self.c, self.d
-        steps = map(_byte_table(self.params).__getitem__, data)
-        for (e, f, g, h), (i, j, k, m) in zip_longest(steps, steps, fillvalue=(1, 0, 0, 1)):
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-            a, b, c, d = ((a * i + b * k) % p, (a * j + b * m) % p,
-                          (c * i + d * k) % p, (c * j + d * m) % p)
+        table, exact32 = _byte_table(self.params)
+        steps = map(table.__getitem__, data)
+        if exact32:
+            for (e, f, g, h), (i, j, k, m), (q, r, s, t), (w, x, y, z) in zip_longest(
+                    steps, steps, steps, steps, fillvalue=(1, 0, 0, 1)):
+                e, f, g, h = e * i + f * k, e * j + f * m, g * i + h * k, g * j + h * m
+                q, r, s, t = q * w + r * y, q * x + r * z, s * w + t * y, s * x + t * z
+                e, f, g, h = e * q + f * s, e * r + f * t, g * q + h * s, g * r + h * t
+                a, b, c, d = ((a * e + b * g) % p, (a * f + b * h) % p,
+                              (c * e + d * g) % p, (c * f + d * h) % p)
+        else:
+            for (e, f, g, h), (i, j, k, m) in zip_longest(steps, steps, fillvalue=(1, 0, 0, 1)):
+                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+                a, b, c, d = ((a * i + b * k) % p, (a * j + b * m) % p,
+                              (c * i + d * k) % p, (c * j + d * m) % p)
         self.a, self.b, self.c, self.d = a, b, c, d
         self.bits_consumed += 8 * len(data)
         return self
@@ -296,12 +308,12 @@ def _lanes_at_least(x: int, y: int, top: int, w: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _byte_table(params: HashParams) -> tuple[_Quad, ...]:
-    """The hash of every 8-bit word mod p, indexed by its byte value: lane e of level 8."""
+def _byte_table(params: HashParams) -> tuple[tuple[_Quad, ...], bool]:
+    """(table, exact32): each byte value's hash mod p, lane e of level 8, and mu(32) < p."""
     *_, (_, lanes) = _fingerprinted_levels(params, 8)
     n = len(lanes) >> 10
     entries = iter([int.from_bytes(lanes[i:i + n], "little") for i in range(0, len(lanes), n)])
-    return tuple(zip(entries, entries, entries, entries))
+    return tuple(zip(*[entries] * 4)), mu_depth(params.monoid_params, 32) < params.p
 
 
 def hash_string(params: HashParams, bits: Iterable[int] | str) -> Digest:
@@ -430,9 +442,8 @@ def exhaustive_collision_check(params: HashParams, max_len: int) -> tuple[str, s
     the 10 words'; where a set repeats or a probe hits, _replay compares exact lanes.
     """
     require_int("max_len", max_len, 0)
-    require_enum_size(
-        f"max_len {show(max_len)} needs", max_len + 1, "- 1 states", DEFAULT_COLLISION_LIMIT
-    )
+    require_enum_size(f"max_len {show(max_len)} needs", max_len + 1, "- 1 states",
+                      DEFAULT_COLLISION_LIMIT)
     seen, w01, w10, w11 = set(), array("Q"), array("Q"), array("Q")
     levels = _fingerprinted_levels(params, max_len)
     # Not enumerate: its reused result tuple would hold a level while the next is built.

@@ -113,11 +113,8 @@ def _row_cells(root: Mat2, params: MonoidParams, n: int) -> Iterator[_Quad]:
     u, v = params.u, params.v
     cells: Iterator[_Quad] = iter([(root.a, root.b, root.c, root.d)])
     for _ in range(n):
-        cells = (
-            m
-            for a, b, c, d in cells
-            for m in ((a, b, u * a + c, u * b + d), (a + v * c, b + v * d, c, d))
-        )
+        cells = (m for a, b, c, d in cells
+                 for m in ((a, b, u * a + c, u * b + d), (a + v * c, b + v * d, c, d)))
     return cells
 
 
@@ -175,11 +172,12 @@ def cell_word(n: int, i: int) -> str:
     return format(i - 1, f"0{n}b")[::-1].translate(_BITS_TO_LETTERS) if n else ""
 
 
-def classify(m: Mat2, params: MonoidParams) -> DominanceClass:
-    """Classify by the lower/upper dominance conditions."""
+def classify(m: Mat2 | _Quad, params: MonoidParams) -> DominanceClass:
+    """Classify by the lower/upper dominance conditions; m may be a cell (a, b, c, d)."""
+    a, b, c, d = m if type(m) is tuple else (m.a, m.b, m.c, m.d)
     u, v = params.u, params.v
-    lower = m.c >= u * m.a and m.d >= u * m.b
-    upper = m.a >= v * m.c and m.b >= v * m.d
+    lower = c >= u * a and d >= u * b
+    upper = a >= v * c and b >= v * d
     if lower and upper:
         return DominanceClass.BOTH
     if lower:

@@ -66,6 +66,8 @@ KERNEL_PARAMS = [
     for p in (2, 5, 101, 2**61 - 1, 2**521 - 1)
     for u, v in ((1, 1), (2, 3), (5, 7))
 ] + [HashParams(2, 3, PRIME_2048), HashParams(10**23, 10**23, 2**127 - 1)]
+# Twelve bytes: three four-byte blocks, with every prefix a remainder mod 4.
+KERNEL_PAYLOAD = b"\xff\x96\x00\xc3\x5a\x01\x80\x7e\xe7\x3c\x10\xfd"
 # Up to 11 whole bytes, followed by a tail of any length mod 8.
 long_bit_lists = st.lists(st.integers(0, 1), max_size=90)
 # Elements the byte packer refuses; the per-bit path decides each one.
@@ -555,7 +557,7 @@ class TestByteTableKernel:
         states = [HashState(hp)]
         for _ in range(8):
             states = [copy.copy(s).update_bit(bit) for s in states for bit in (0, 1)]
-        assert bsvhash._byte_table(hp) == tuple((s.a, s.b, s.c, s.d) for s in states)
+        assert bsvhash._byte_table(hp)[0] == tuple((s.a, s.b, s.c, s.d) for s in states)
 
     def test_generators_and_bytes_take_the_per_bit_path(self):
         bits = [0, 1, 1, 0, 0, 1, 0, 1, 1]
@@ -578,20 +580,51 @@ class TestByteTableKernel:
 
     @pytest.mark.parametrize("hp", KERNEL_PARAMS, ids=repr)
     def test_byte_pairs_match_the_per_bit_fold(self, hp):
-        """update_bytes reduces once per byte pair; an odd count ends on the identity.
-        Every call, odd or even, leaves all four entries reduced into [0, p)."""
-        data = b"\xff\x96\x00\xc3\x5a"
+        """update_bytes reduces once per block of four bytes where mu(32) < p, else
+        once per pair; a short last block ends on the identity. Every byte count
+        0-12 (each remainder mod 4 and mod 2, one to three whole blocks) matches the
+        fold, and every call leaves all four entries reduced into [0, p)."""
+        data = KERNEL_PAYLOAD
         for n in range(len(data) + 1):
             ref = HashState(hp)
             fold(ref, bits_from_bytes_msb(data[:n]))
             state = HashState(hp).update_bytes(data[:n])
             assert snapshot(state) == snapshot(ref)
             assert all(0 <= x < hp.p for x in snapshot(state)[:4])
-        split = HashState(hp).update_bytes(data[:3])
-        assert all(0 <= x < hp.p for x in snapshot(split)[:4])
-        split.update_bytes(data[3:])
-        assert snapshot(split) == snapshot(state)
-        assert all(0 <= x < hp.p for x in snapshot(split)[:4])
+
+    @pytest.mark.parametrize("hp", KERNEL_PARAMS, ids=repr)
+    def test_a_call_split_anywhere_equals_one_call(self, hp):
+        whole = snapshot(HashState(hp).update_bytes(KERNEL_PAYLOAD))
+        for k in range(len(KERNEL_PAYLOAD) + 1):
+            split = HashState(hp).update_bytes(KERNEL_PAYLOAD[:k])
+            assert all(0 <= x < hp.p for x in snapshot(split)[:4])
+            split.update_bytes(KERNEL_PAYLOAD[k:])
+            assert snapshot(split) == whole
+
+    @pytest.mark.parametrize("hp,exact32", [
+        (HashParams(2, 3, PRIME_2048), True), (HashParams(5, 7, 2**127 - 1), True),
+        (HashParams(5, 7, 2**61 - 1), False), (HashParams(2, 3, 101), False),
+        (HashParams(10**23, 10**23, 2**127 - 1), False),
+    ], ids=repr)
+    def test_four_byte_blocks_where_mu_32_is_below_p(self, hp, exact32):
+        """The rule: four bytes per reduction exactly where the depth-32 maximal
+        entry, and so every entry of a four-byte block's product, is below p."""
+        assert bsvhash._byte_table(hp)[1] is exact32
+        assert (collision_horizon(hp.monoid_params, hp.p) >= 32) is exact32
+
+    def test_the_kernel_params_run_both_loops(self):
+        assert {bsvhash._byte_table(hp)[1] for hp in KERNEL_PARAMS} == {False, True}
+
+    @pytest.mark.parametrize("exact32", [False, True])
+    @pytest.mark.parametrize("hp", KERNEL_PARAMS, ids=repr)
+    def test_either_loop_matches_the_fold_on_any_params(self, hp, exact32, monkeypatch):
+        """Both loops are exact mod p for every (u, v, p); the rule only picks the faster."""
+        table = bsvhash._byte_table(hp)[0]
+        monkeypatch.setattr(bsvhash, "_byte_table", lambda params: (table, exact32))
+        for n in range(len(KERNEL_PAYLOAD) + 1):
+            ref = HashState(hp)
+            fold(ref, bits_from_bytes_msb(KERNEL_PAYLOAD[:n]))
+            assert snapshot(HashState(hp).update_bytes(KERNEL_PAYLOAD[:n])) == snapshot(ref)
 
     @pytest.mark.parametrize("whole", [1, 3, 5])
     def test_bit_lists_with_odd_bytes_and_a_tail_take_the_packer(self, whole, monkeypatch):

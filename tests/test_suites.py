@@ -5,6 +5,7 @@ import pytest
 from matmonoid import bsvhash, extremal, polydom, suites, tree
 from matmonoid.bsvhash import Digest, HashState
 from matmonoid.extremal import AlphaGammaPair, LucasPair, Witness
+from matmonoid.matrix import MonoidParams
 from matmonoid.polydom import ONE, ZERO, BiPolyN, PolyN
 
 # The unpatched library calls, captured before any test patches them.
@@ -12,7 +13,8 @@ mu_depth, witness, alpha_gamma, lucas = (
     extremal.mu_depth, extremal.witness, extremal.alpha_gamma, extremal.lucas)
 closed_form_float, fseq = extremal.closed_form_float, extremal.fseq
 mu_row_bruteforce, entry_polys = tree.mu_row_bruteforce, tree.entry_polys
-mu, dominates, evaluate, update = suites.mu, suites.dominates, PolyN.__call__, HashState.update
+row_cells = tree._row_cells
+dominates, evaluate, update = suites.dominates, PolyN.__call__, HashState.update
 
 
 def plus_one(f):
@@ -69,14 +71,17 @@ CASES = {
     suites.check_lucas_pairs: (
         [(extremal, "lucas", lambda P, m: LucasPair(P, m, lucas(P, m).U + 1, lucas(P, m).V))],
         ["P=3 m=0: pair identity broken", "P=3 m=0: doubling 1,2 != recurrence 0,2"]),
+    # The symmetry checks read cells from the lazy row walk: one that steps R_(v+1)
+    # for R_v breaks the mirror, and one that walks right to left, the dominance.
     suites.check_mirror_symmetry: (
-        [(tree, "antitranspose", lambda m: m)],
+        [(tree, "_row_cells",
+          lambda root, params, n: row_cells(root, MonoidParams(params.u, params.v + 1), n))],
         ["u=1 v=1 n=1 i=1"]),
     suites.check_entry_poly_flip: (
         [(BiPolyN, "swap_vars", lambda f: f)],
         ["n=1 i=1"]),
     suites.check_left_half_dominance: (
-        [(suites, "mu", lambda m: -mu(m))],
+        [(tree, "_row_cells", lambda root, params, n: reversed(list(row_cells(root, params, n))))],
         ["u=2 v=1 n=1 i=1"]),
     suites.check_column_max: (
         [(suites, "mu", lambda m: 0)],

@@ -354,6 +354,15 @@ class TestClassify:
             )
             assert got is want, w
 
+    @pytest.mark.parametrize("uv", [(2, 3), (1, 1), (3, 1)])
+    def test_a_cell_classifies_as_its_matrix(self, uv):
+        # The row walk's cells (a, b, c, d) classify without building a Mat2.
+        params = MonoidParams(*uv)
+        for n in range(7):
+            for cell in tree._row_cells(IDENTITY, params, n):
+                assert classify(cell, params) is classify(Mat2(*cell), params)
+        assert classify((0, 0, 0, 0), P23) is DominanceClass.BOTH
+
     def test_full_range_suite(self):
         r = suites.check_single_peel_class(10)
         assert r.passed, r.failures
