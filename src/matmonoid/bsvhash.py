@@ -224,7 +224,7 @@ class HashState:
 
         Equal to update(bits_from_bytes_msb(data)): the hash is a monoid
         homomorphism, so each byte's eight shear steps are one precomputed
-        matrix. Where mu(32) < p, four bytes' matrices multiply exactly, to a
+        matrix. Where n0 >= 32, four bytes' matrices multiply exactly, to a
         depth-32 product of entries at most mu(32) < p, which the state takes with
         one reduction mod p; elsewhere bytes go in pairs, reduced once. A short
         last block ends on the identity. Either way the state's first product, of
@@ -272,19 +272,14 @@ def _fingerprinted_levels(params: HashParams, k: int) -> Iterator[tuple[memoryvi
     """_fingerprinted_level of each level j = 0..k, packed in four ints: lane i (w
     bits) of each holds that entry of the digest of the i-th length-j string in
     shortlex order (0 first); L_u*M fill the low half of a level. No lane carries:
-    w, a multiple of 16, keeps a spare top bit above the row bounds of the words
-    starting with L and with R to length k, stepped alongside, or above (1+t)(p-1)
-    for t = max(u, v) mod p, if less. Subtracting p*2^i where an entry is at least
+    w, a multiple of 16, keeps a spare top bit above mu(k), which no residue of a
+    depth-j <= k entry passes, or above (1+t)(p-1) for t = max(u, v) mod p, if less
+    (so within n0 nothing is reduced). Subtracting p*2^i where an entry is at least
     that, for i from bitlen(bound // p) - 1 down, leaves it mod p. Holds no level
     it has yielded."""
-    u, v, p = params.u, params.v, params.p
-    a = d = a0 = c0 = a1 = c1 = 1
-    b = c = 0
-    for _ in range(k):
-        a0, c0, a1, c1 = (max(a0, a1), max(c0 + u * a0, c1 + u * a1),
-                          max(a0 + v * c0, a1 + v * c1), max(c0, c1))
-    u, v = u % p, v % p
-    bound = min(max(a0, c0, a1, c1), (1 + max(u, v)) * (p - 1))
+    p, u, v, mp = params.p, params.u % params.p, params.v % params.p, params.monoid_params
+    cap, a, b, c, d = (1 + max(u, v)) * (p - 1), 1, 0, 0, 1
+    bound = mu_depth(mp, k) if k <= collision_horizon(mp, max(cap, 2)) else cap
     w, shifts = bound.bit_length() + 16 & -16, (bound // p).bit_length()
     top, q = 1 << w - 1, p << shifts
     for j in range(k):
@@ -309,11 +304,11 @@ def _lanes_at_least(x: int, y: int, top: int, w: int) -> int:
 
 @lru_cache(maxsize=64)
 def _byte_table(params: HashParams) -> tuple[tuple[_Quad, ...], bool]:
-    """(table, exact32): each byte value's hash mod p, lane e of level 8, and mu(32) < p."""
+    """(table, exact32): each byte value's hash mod p, lane e of level 8, and n0 >= 32."""
     *_, (_, lanes) = _fingerprinted_levels(params, 8)
     n = len(lanes) >> 10
     entries = iter([int.from_bytes(lanes[i:i + n], "little") for i in range(0, len(lanes), n)])
-    return tuple(zip(*[entries] * 4)), mu_depth(params.monoid_params, 32) < params.p
+    return tuple(zip(*[entries] * 4)), bound_n0(params) >= 32
 
 
 def hash_string(params: HashParams, bits: Iterable[int] | str) -> Digest:

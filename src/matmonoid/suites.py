@@ -320,8 +320,10 @@ def check_left_column_bound(max_depth: int) -> _Failures:
             best_entry = best_sum = 0
             for a, b, c, d in tree._row_cells(IDENTITY, params, 2 * n + 1):
                 x, y = (a, c) if u >= v else (b, d)
-                best_entry = max(best_entry, x, y)
-                best_sum = max(best_sum, x + y)
+                if x + y > best_sum:
+                    best_sum = x + y
+                if x > best_entry or y > best_entry:
+                    best_entry = max(x, y)
             if best_entry != pair.gamma:
                 yield f"u={u} v={v} n={n}: column max {best_entry} != gamma {pair.gamma}"
             if best_sum != pair.alpha + pair.gamma:

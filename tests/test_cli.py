@@ -92,6 +92,28 @@ class TestHashCommand:
         expected = HashState(HashParams(2, 3, 101)).update_bytes(payload).digest()
         assert json.loads(out) == expected.to_json()
 
+    @needs_digit_cap
+    def test_a_huge_u_hashes_alike_under_a_low_output_cap(self, capsys, monkeypatch, tmp_path):
+        # mu(32) of u = 10^10000 + 1 has about 66,441 bytes, past the lowered
+        # cap, but the hash never builds it: the digest is four residues below p.
+        from matmonoid import bsvhash
+        path = tmp_path / "bits.txt"
+        path.write_text("01" * 32)
+        outputs = []
+        with no_digit_cap():
+            argv = ["hash", "--u", str(10**10000 + 1), "--v", "3", "--p", str(2**127 - 1),
+                    "--input", str(path)]
+            for limit in ("65536", None):
+                if limit is None:
+                    monkeypatch.delenv(errors.OUTPUT_LIMIT_ENV, raising=False)
+                else:
+                    monkeypatch.setenv(errors.OUTPUT_LIMIT_ENV, limit)
+                bsvhash._byte_table.cache_clear()
+                outputs.append(run(capsys, argv))
+        code, out, err = outputs[0]
+        assert (code, err, len(out)) == (0, "", 4 * 32 + 1)
+        assert outputs[1] == outputs[0]
+
     def test_composite_modulus_is_a_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bits.txt"
         path.write_text("01100")

@@ -7,6 +7,7 @@ import re
 import sys
 import tracemalloc
 from array import array
+from itertools import islice
 from typing import Iterable, Iterator
 
 import hypothesis.strategies as st
@@ -28,6 +29,7 @@ from matmonoid import (
     exhaustive_collision_check,
     hash_string,
     is_probable_prime,
+    mu_depth,
     parse,
     serialize,
     word_to_matrix,
@@ -35,7 +37,7 @@ from matmonoid import (
 from matmonoid import bsvhash
 from matmonoid.bsvhash import (_extra_strong_lucas, _fingerprinted_levels, _jacobi,
                                _miller_rabin_witness, _split_two)
-from matmonoid.errors import ENUM_LIMIT_ENV
+from matmonoid.errors import ENUM_LIMIT_ENV, OUTPUT_LIMIT_ENV
 from matmonoid.extremal import _ladder
 from matmonoid.matrix import _Quad
 from test_acceptance import PRIME_2048
@@ -140,6 +142,36 @@ def tuple_levels(params: HashParams, max_len: int) -> Iterator[Iterable[_Quad]]:
             ((a + u * b) % p, b, (c + u * d) % p, d), (a, (b + v * a) % p, c, (d + v * c) % p)))
         level = children if length == max_len else list(children)
     yield level
+
+
+def stepped_row_bound(u: int, v: int, k: int) -> int:
+    """A bound on every entry of a depth-k product, stepped letter by letter: the
+    column maxima of the words starting with L and with R. The reference that
+    mu(k), the exact maximum, and so the packed walk's lanes never exceed."""
+    a0 = c0 = a1 = c1 = 1
+    for _ in range(k):
+        a0, c0, a1, c1 = (max(a0, a1), max(c0 + u * a0, c1 + u * a1),
+                          max(a0 + v * c0, a1 + v * c1), max(c0, c1))
+    return max(a0, c0, a1, c1)
+
+
+def lane_bytes(bound: int) -> int:
+    """The bytes of one packed lane, four entries of w bits, for entries up to
+    bound: w is a multiple of 16 with a spare top bit."""
+    return (bound.bit_length() + 16 & -16) // 2
+
+
+def level_products(params: MonoidParams, k: int) -> list:
+    """The exact matrices of the 2^k words of length k, in shortlex order, L first."""
+    return [word_to_matrix(bin(1 << k | i)[3:].translate(BITS_TO_LETTERS), params)
+            for i in range(1 << k)]
+
+
+def lane_entries(lanes: bytearray, k: int) -> list[_Quad]:
+    """The (a, b, c, d) of each lane of a packed level k: n bytes each, little-endian."""
+    n = len(lanes) >> k + 2
+    entries = iter([int.from_bytes(lanes[i:i + n], "little") for i in range(0, len(lanes), n)])
+    return list(zip(entries, entries, entries, entries))
 
 
 def index_coded_collision_search(params: HashParams, max_len: int) -> tuple[str, str] | None:
@@ -877,8 +909,8 @@ class TestExhaustiveCollisionCheck:
 
     # At (210, 1, 211) the lane bound has exactly 16 bits, so only the spare
     # top bit widens the lanes to 32. At the large primes the lanes are sized
-    # by the exact row bounds, and up to the horizon no lane is ever reduced,
-    # so there the residues are the exact products.
+    # by mu(10), and up to the horizon no lane is ever reduced, so there the
+    # residues are the exact products.
     @pytest.mark.parametrize("u,v,p", SMALL_GRID + HUGE_MULTIPLIERS + [(210, 1, 211)] + [
         (u, v, p) for p in (2**127 - 1, 2**521 - 1, PRIME_2048)
         for u, v in HORIZON_PAIRS + [(10**23, 10**23)]
@@ -886,15 +918,10 @@ class TestExhaustiveCollisionCheck:
     def test_lane_walk_visits_the_states_of_levels(self, u, v, p):
         # Lane i of level k holds the residues of the product of the i-th word
         # of length k in shortlex order, L before R.
-        # Each lane is its a, b, c and d, n bytes each, little-endian.
         params = MonoidParams(u, v)
         for k, (_, lanes) in enumerate(_fingerprinted_levels(HashParams(u, v, p), 10)):
-            words = [bin(1 << k | i)[3:].translate(BITS_TO_LETTERS) for i in range(1 << k)]
-            products = [word_to_matrix(word, params) for word in words]
-            n = len(lanes) >> k + 2
-            entries = iter([int.from_bytes(lanes[i:i + n], "little") for i in range(0, len(lanes), n)])
-            assert list(zip(entries, entries, entries, entries)) == [
-                (m.a % p, m.b % p, m.c % p, m.d % p) for m in products], k
+            assert lane_entries(lanes, k) == [
+                (m.a % p, m.b % p, m.c % p, m.d % p) for m in level_products(params, k)], k
 
     @pytest.mark.parametrize("u,v,p", SMALL_GRID)
     def test_a_first_collision_differs_in_its_first_and_last_letters(self, u, v, p):
@@ -996,3 +1023,85 @@ class TestExhaustiveCollisionCheck:
         reference, scan = traced_peak(index_coded_collision_search, hp, 14)
         assert found == reference and len(found[1]) == 14
         assert peak < 0.6 * scan
+
+
+class TestLanesSizedByTheHorizon:
+    """The packed walk sizes its lanes by min(mu(k), (1+t)(p-1)), t = max(u, v) mod p,
+    and the byte loop by n0 >= 32: neither builds an integer much wider than p."""
+
+    # Where mu(k) and the stepped bound straddle a 16-bit step below the cap, the
+    # lanes narrow: 22 of the 1,344 (u, v, k) at each large prime, none at the small.
+    @pytest.mark.parametrize("p,narrowings", [(101, 0), (2053, 0), (BIG_PRIME, 22),
+                                              (2**127 - 1, 22)],
+                             ids=lambda x: str(x) if x < 2**32 else f"{x.bit_length()}-bit")
+    def test_lanes_are_as_wide_as_mu_k_or_the_residue_cap(self, p, narrowings):
+        narrowed = 0
+        for u in range(1, 9):
+            for v in range(1, 9):
+                hp = HashParams(u, v, p)
+                cap = (1 + max(u % p, v % p)) * (p - 1)
+                for k in range(21):
+                    mu = mu_depth(hp.monoid_params, k)
+                    assert mu <= stepped_row_bound(u, v, k)
+                    width, stepped = lane_bytes(min(mu, cap)), lane_bytes(
+                        min(stepped_row_bound(u, v, k), cap))
+                    # The width is fixed for the whole walk; its first levels show it.
+                    levels = islice(_fingerprinted_levels(hp, k), 4)
+                    assert {len(lanes) >> j for j, (_, lanes) in enumerate(levels)} == {width}
+                    assert width <= stepped
+                    narrowed += width < stepped
+        assert narrowed == narrowings
+
+    @pytest.mark.parametrize("u,v", [(1, 1), (2, 3), (5, 7), (3, 3)])
+    def test_no_lane_is_reduced_within_the_horizon(self, monkeypatch, u, v):
+        hp = HashParams(u, v, BIG_PRIME)
+        n0 = bound_n0(hp)
+        reductions = []
+        lanes_at_least = bsvhash._lanes_at_least
+
+        def spy(*args):
+            reductions.append(args)
+            return lanes_at_least(*args)
+
+        monkeypatch.setattr(bsvhash, "_lanes_at_least", spy)
+        products = [[(m.a, m.b, m.c, m.d) for m in level_products(hp.monoid_params, j)]
+                    for j in range(11)]
+        for max_len in (0, 4, 8, 10, n0):
+            for j, (_, lanes) in enumerate(islice(_fingerprinted_levels(hp, max_len), 11)):
+                assert lane_entries(lanes, j) == products[j], (max_len, j)
+        assert not reductions
+
+    # p = 2 with u and v even makes every residue walk the identity's, and the
+    # cap (1+t)(p-1) is 1; where p divides u or v, that shear is the identity mod p.
+    @pytest.mark.parametrize("u,v,p", [(2, 2, 2), (2, 4, 2), (6, 4, 2), (2, 1, 2),
+                                       (7, 3, 7), (3, 14, 7), (7, 7, 7), (101, 2, 101),
+                                       (2, 202, 101), (BIG_PRIME, 3, BIG_PRIME)],
+                             ids=lambda x: str(x) if x < 2**32 else f"{x.bit_length()}-bit")
+    def test_degenerate_moduli_match_the_tuple_walk(self, u, v, p):
+        hp = HashParams(u, v, p)
+        for max_len in (0, 1, 2, 9):
+            pairs = zip(_fingerprinted_levels(hp, max_len), tuple_levels(hp, max_len))
+            assert [lane_entries(lanes, j) == list(level)
+                    for j, ((_, lanes), level) in enumerate(pairs)] == [True] * (max_len + 1)
+
+    def test_a_huge_u_is_hashed_under_a_low_output_cap(self, monkeypatch):
+        # mu(32) of u = 10^10000 + 1 has about 66,441 bytes; the digest has four
+        # residues below p, and neither size decision builds mu(32).
+        hp = HashParams(10**10000 + 1, 3, 2**127 - 1)
+        calls = [lambda: hash_string(hp, "01" * 32),
+                 lambda: HashState(hp).update_bytes(b"abcdefgh").digest(),
+                 lambda: bsvhash._byte_table(hp),
+                 lambda: exhaustive_collision_check(hp, 14)]
+        answers = []
+        for limit in (None, "65536"):
+            if limit is None:
+                monkeypatch.delenv(OUTPUT_LIMIT_ENV, raising=False)
+            else:
+                monkeypatch.setenv(OUTPUT_LIMIT_ENV, limit)
+            answers.append([])
+            for call in calls:
+                bsvhash._byte_table.cache_clear()
+                answers[-1].append(call())
+        bsvhash._byte_table.cache_clear()
+        assert answers[0] == answers[1]
+        assert answers[0][2][1] is False and answers[0][3] is None
