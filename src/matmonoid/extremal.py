@@ -337,9 +337,10 @@ def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> Decima
                  + (sqrt(t) p+ - 2) q-^{n+1}) / (2^{n+2} sqrt(4+uv))    s = 1
 
     with q+- = 2+uv +- sqrt(uv(4+uv)) and p+- = +-s*sqrt(t) + sqrt(s(4+uv)).
-    The powers are taken as lambda+-^{n+1} = (q+-/2)^{n+1}, and at s = 1
-    sqrt(4+uv) is sqrt(s(4+uv)). Float cross-check only; mu_depth is the
-    exact source of truth.
+    They are evaluated on the column (alpha_n, gamma_n) of (LR)^n L from
+    (1, t), oriented as (u, v) = (t, s): gamma_n, and at even depth
+    alpha_n + s*gamma_n (R_s in front) when s > 1, else t*alpha_n + gamma_n
+    (L_t in front). Float cross-check only; mu_depth is the exact truth.
 
     n may be at most floor(MAX_EMAX / 2 / log10 lambda+) - 1 (about 1.2e18
     at u = v = 1 and 4.8e17 at u = v = 3); a larger n raises InvalidParams
@@ -352,17 +353,11 @@ def closed_form_float(params: MonoidParams, n: int, depth_parity: str) -> Decima
     # Oriented as (u, v) = (t, s), the eigen data holds exactly these q+- and p+-.
     cf = closed_form_params(MonoidParams(t, s), 1, t)
     _require_power(cf.lambda1, n, 1)
+    gamma = cf.gamma_float(n)
+    if depth_parity == "odd":
+        return gamma
     with localcontext(_CONTEXT):
-        root_t = Decimal(t).sqrt()
-        edge = Decimal(s * (4 + s * t)).sqrt()
-        up, down = cf.lambda1 ** (n + 1), cf.lambda2 ** (n + 1)
-        if depth_parity == "odd":
-            return root_t * (up - down) / edge
-        if s > 1:
-            return (cf.p_plus * up + cf.p_minus * down) / (2 * edge)
-        return root_t * (
-            (root_t * cf.p_minus + 2) * up + (root_t * cf.p_plus - 2) * down
-        ) / (2 * edge)
+        return cf.alpha_float(n) + s * gamma if s > 1 else t * cf.alpha_float(n) + gamma
 
 
 def _parity_coeffs(s: int, t: int, n: int) -> tuple[int, int]:
@@ -431,8 +426,8 @@ def witness(params: MonoidParams, n: int) -> Witness:
     """Construct a maximal word of depth n >= 1 and verify it attains mu_depth.
 
     Odd n = 2k+1 uses the alternating word (LR)^k L at entry (2,1). Even
-    n = 2k+2 uses L(LR)^k L at (2,1) when min(u,v) = 1, else
-    (RL)^{k+1} = M^{k+1} at (1,1): M = R_v L_u = [[1+uv, v], [u, 1]] has
+    n = 2k+2 puts a letter in front of it: L(LR)^k L at (2,1) if min(u,v) = 1,
+    else R(LR)^k L = M^{k+1} at (1,1): M = R_v L_u = [[1+uv, v], [u, 1]] has
     M^j = U_j*M - U_{j-1}*I (Cayley-Hamilton, P = 2+uv), and as
     U_{j-1} < U_j the (1,1) entry (1+uv)*U_j - U_{j-1} exceeds v*U_j, u*U_j
     and U_j - U_{j-1}. A (2,1) word is for u >= v; when u < v its mirror
@@ -443,13 +438,10 @@ def witness(params: MonoidParams, n: int) -> Witness:
     require_output_size(n, "letters", "the witness word at depth {} has", n)
     expected = mu_depth(params, n)
     u, v = params.u, params.v
-    k = (n - 1) // 2
-    if n % 2 == 1:
-        word, position = "LR" * k + "L", (2, 1)
-    elif params.s > 1:
-        word, position = "RL" * (k + 1), (1, 1)
-    else:
-        word, position = "L" + "LR" * k + "L", (2, 1)
+    word = "LR" * ((n - 1) // 2) + "L"
+    if n % 2 == 0:
+        word = ("R" if params.s > 1 else "L") + word
+    position = (1, 1) if word[0] == "R" else (2, 1)
     if u < v and position == (2, 1):
         word, position = word.translate(_MIRROR), (1, 2)
     m = word_to_matrix(word, params)

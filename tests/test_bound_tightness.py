@@ -51,3 +51,14 @@ class TestBoundAgainstTheFirstCollision:
         # would cancel and leave a shorter colliding pair.
         first, second = TIGHTNESS[p, u, v][1]
         assert first and first[0] != second[0] and first[-1] != second[-1]
+
+    def test_every_member_of_the_class_collides_alike(self, p, u, v):
+        # For p not dividing uv, D = diag(lam, 1) with lam = u'/u (mod p) conjugates
+        # hash_(u', v') into hash_(u, v) whenever u'v' = uv (mod p): both collide on
+        # exactly the same pairs, so the shortlex-first pair is one answer for the
+        # whole class, whatever n0 or lane width each member has. p | uv is outside
+        # this (L_u or R_v is then the identity mod p), and no cell here has it.
+        _, pair = TIGHTNESS[p, u, v]
+        members = [(d, u * v // d) for d in range(1, u * v + 1) if u * v % d == 0]
+        for member in [*members, (u, v + p)]:
+            assert exhaustive_collision_check(HashParams(*member, p), len(pair[1])) == pair, member

@@ -476,6 +476,20 @@ class TestMuDepth:
         with pytest.raises(InvalidParams):
             mu_depth(P23, -1)
 
+    @pytest.mark.parametrize("u", range(1, 9))
+    def test_one_column_gives_both_parities(self, u):
+        # Oriented as (u, v) = (t, s), (alpha_n, gamma_n) is the left column of
+        # (LR)^n L from (1, t). Depth 2n+1 reads gamma_n; depth 2n+2 puts R_s
+        # (s > 1, entry (1,1)) or L_t (s = 1, entry (2,1)) in front.
+        for v in range(1, 9):
+            params = MonoidParams(u, v)
+            s, t = params.s, params.t
+            for n in range(101):
+                pair = alpha_gamma(MonoidParams(t, s), 1, t, n)
+                even = pair.alpha + s * pair.gamma if s > 1 else t * pair.alpha + pair.gamma
+                assert mu_depth(params, 2 * n + 1) == pair.gamma, (u, v, n)
+                assert mu_depth(params, 2 * n + 2) == even, (u, v, n)
+
 
 class TestWitness:
     def test_known_odd_witness(self):
@@ -531,6 +545,34 @@ class TestWitness:
         params = MonoidParams(*uv)
         w = witness(params, n)
         assert (w.word, w.position) == witness_by_five_branches(params, n)
+
+    @pytest.mark.parametrize("u", range(1, 9))
+    def test_even_words_put_one_letter_before_the_odd_word(self, u):
+        for v in range(1, u + 1):
+            params = MonoidParams(u, v)
+            front = "R" if params.s > 1 else "L"
+            for n in range(2, 201, 2):
+                assert witness(params, n).word == front + witness(params, n - 1).word, (u, v, n)
+
+    @pytest.mark.parametrize("u", range(1, 9))
+    def test_top_left_exactly_when_the_word_starts_with_r(self, u):
+        for v in range(1, u + 1):
+            params = MonoidParams(u, v)
+            for n in range(1, 201):
+                w = witness(params, n)
+                assert (w.position == (1, 1)) == (w.word[0] == "R"), (u, v, n)
+
+    @pytest.mark.parametrize("u", range(1, 8))
+    def test_u_below_v_mirrors_only_the_bottom_left_words(self, u):
+        for v in range(u + 1, 9):
+            params, oriented = MonoidParams(u, v), MonoidParams(v, u)
+            for n in range(1, 201):
+                w, ref = witness(params, n), witness(oriented, n)
+                if ref.position == (2, 1):
+                    want = ref.word.translate(str.maketrans("LR", "RL")), (1, 2)
+                else:
+                    want = ref.word, ref.position
+                assert (w.word, w.position) == want, (u, v, n)
 
     def test_an_unmirrored_word_is_caught(self, monkeypatch):
         # u < v takes the mirror of the u >= v word; without the swap the integer

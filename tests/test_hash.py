@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from matmonoid import (
     Digest,
@@ -508,6 +508,22 @@ class TestHashString:
         m = word_to_matrix(word, MonoidParams(2, 3))
         d = hash_string(hp, bits[:16])
         assert (d.a, d.b, d.c, d.d) == (m.a, m.b, m.c, m.d)
+
+    @given(st.sampled_from([131, 521, 2053, 2**61 - 1]), st.integers(1, 2**64),
+           st.integers(1, 2**64), st.integers(1, 2**64), st.integers(0, 2),
+           st.text("01", max_size=200))
+    @settings(max_examples=200)
+    def test_params_with_one_uv_mod_p_hash_alike_up_to_a_diagonal(self, p, u, v, unit, k, bits):
+        # D = diag(lam, 1) conjugates L_u' to L_(u'/lam) and R_v' to R_(lam*v'), so
+        # for p not dividing uv and u'v' = uv (mod p), lam = u'/u turns every digest
+        # of (u', v') into the one of (u, v). k*p widens v' without moving its class.
+        u2 = unit % p
+        assume(u * v % p and u2)
+        v2 = u * v * pow(u2, -1, p) % p + k * p
+        lam = u2 * pow(u, -1, p) % p
+        d = hash_string(HashParams(u, v, p), bits)
+        d2 = hash_string(HashParams(u2, v2, p), bits)
+        assert (d.a, d.b, d.c, d.d) == (d2.a, lam * d2.b % p, d2.c * pow(lam, -1, p) % p, d2.d)
 
 
 class TestByteTableKernel:
