@@ -4,7 +4,8 @@ All numeric output is exact decimal; big integers go into JSON as
 decimal strings so any parser round-trips them. Exit codes: 0 success,
 1 domain errors (bad primes, unreachable matrices, exceeded limits,
 failed verification), 2 usage errors. Each command imports what it runs
-inside its own function: `mu` never loads the hash, the tree or json.
+inside its own function: `mu` never loads the hash or the tree, and no
+command loads json.
 """
 from __future__ import annotations
 
@@ -124,6 +125,16 @@ def _read_input(args: argparse.Namespace) -> bytes:
         raise OSError(f"cannot read --input {args.input!r}: {exc.strerror}") from None
 
 
+# Output templates. _MATRIX gives the bytes json.dumps prints for Mat2.to_json(),
+# and the JSON witness uses json.dumps's separators too. Nothing needs escaping:
+# a word is only L and R, every other field digits.
+_MATRIX = '[["%s", "%s"], ["%s", "%s"]]'
+_WITNESS = {
+    "text": "word: %s\nmatrix: %s\nentry: (%d,%d)\nvalue: %s",
+    "json": '{"word": "%s", "matrix": %s, "position": [%d, %d], "value": "%s"}',
+}
+
+
 def _cmd_hash(args: argparse.Namespace) -> int:
     from . import bsvhash
     params = bsvhash.HashParams(args.u, args.v, args.p)
@@ -139,8 +150,8 @@ def _cmd_hash(args: argparse.Namespace) -> int:
     if args.format == "hex":
         print(bsvhash.digest_hex(digest, params))
     else:
-        import json
-        print(json.dumps(digest.to_json()))
+        top, bottom = digest.to_json()
+        print(_MATRIX % (*top, *bottom))
     return 0
 
 
@@ -167,25 +178,12 @@ def _cmd_mu(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    import json
     from . import extremal
-    params = MonoidParams(args.u, args.v)
-    w = extremal.witness(params, args.depth)
+    w = extremal.witness(MonoidParams(args.u, args.v), args.depth)
     # Format everything before printing, so a failure prints nothing.
-    value = decimal_str(w.value)
-    matrix = w.matrix.to_json()
-    if args.format == "json":
-        text = json.dumps(
-            {"word": w.word, "matrix": matrix, "position": list(w.position), "value": value}
-        )
-    else:
-        text = (
-            f"word: {w.word}\n"
-            f"matrix: {json.dumps(matrix)}\n"
-            f"entry: ({w.position[0]},{w.position[1]})\n"
-            f"value: {value}"
-        )
-    print(text)
+    top, bottom = w.matrix.to_json()
+    fields = (w.word, _MATRIX % (*top, *bottom), *w.position, decimal_str(w.value))
+    print(_WITNESS[args.format] % fields)
     return 0
 
 
@@ -199,7 +197,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     for n in range(args.depth + 1):
         sep = '{"depth": %d, "cells": [' % n
         for cell in tree._row_cells(IDENTITY, params, n):
-            write(sep + '[["%s", "%s"], ["%s", "%s"]]' % tuple(map(decimal_str, cell)))
+            write(sep + _MATRIX % tuple(map(decimal_str, cell)))
             sep = ", "
         write("]}\n")
     return 0

@@ -14,7 +14,7 @@ import math
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 
 from .errors import InvalidParams, WitnessMismatch, _Record, require_int, require_output_size, show
-from .matrix import _MIRROR, Mat2, MonoidParams, mu, word_to_matrix
+from .matrix import _MIRROR, MonoidParams, mu, word_to_matrix
 
 __all__ = [
     "AlphaGammaPair",

@@ -303,6 +303,14 @@ class TestShow:
         assert show(HUGE) == "<16610-bit integer>"
         assert show(-HUGE) == "<negative 16610-bit integer>"
 
+    def test_a_failing_repr_of_a_non_int_propagates(self):
+        class Unprintable:
+            def __repr__(self):
+                raise ValueError("no repr")
+
+        with pytest.raises(ValueError, match="no repr"):
+            show(Unprintable())
+
 
 class TestDecimalStr:
     @needs_digit_cap

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -12,10 +13,13 @@ from pathlib import Path
 import pytest
 
 import matmonoid
-from matmonoid import InvalidParams, MonoidParams, errors, extremal, mu_depth, suites, tree, witness
+from matmonoid import (
+    InvalidParams, MonoidParams, bsvhash, errors, extremal, mu_depth, suites, tree, witness,
+)
 from matmonoid.cli import _SUITE_CHOICES, main
 from matmonoid.errors import _STR_BITS, decimal_str
 from matmonoid.matrix import IDENTITY
+from test_acceptance import PRIME_2048
 
 # Python 3.10.7+ refuses int <-> decimal conversions past this many digits.
 DIGIT_CAP = 4300
@@ -68,6 +72,18 @@ class TestHashCommand:
             "--input", str(path), "--format", "json"])
         assert code == 0
         assert json.loads(out) == [["0", "1"], ["4", "3"]]
+
+    @pytest.mark.parametrize(
+        "p", [5, 101, 2**127 - 1, PRIME_2048], ids=["5", "101", "m127", "rfc3526"])
+    def test_json_format_is_the_bytes_of_json_dumps(self, capsys, tmp_path, p):
+        bits = "".join(random.Random(p).choice("01") for _ in range(300))
+        path = tmp_path / "bits.txt"
+        path.write_text(bits)
+        code, out, err = run(capsys, [
+            "hash", "--u", "2", "--v", "3", "--p", str(p),
+            "--input", str(path), "--format", "json"])
+        digest = bsvhash.hash_string(bsvhash.HashParams(2, 3, p), bits)
+        assert (code, out, err) == (0, json.dumps(digest.to_json()) + "\n", "")
 
     def test_bytes_input(self, capsys, tmp_path):
         # 0xa5 = bits 10100101, msb first.
@@ -317,6 +333,20 @@ class TestWitnessCommand:
                 f"word: {w.word}\nmatrix: {json.dumps(matrix)}\n"
                 f"entry: ({w.position[0]},{w.position[1]})\nvalue: {value}\n"
             )
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 10, 11, 20001])
+    @pytest.mark.parametrize("uv", [(2, 3), (3, 2), (1, 5), (5, 1), (4, 4)])
+    def test_both_formats_are_the_bytes_of_json_dumps(self, capsys, uv, depth):
+        argv = ["witness", "--u", str(uv[0]), "--v", str(uv[1]), "--depth", str(depth)]
+        w = witness(MonoidParams(*uv), depth)
+        value = decimal_str(w.value)
+        matrix = w.matrix.to_json()
+        record = {"word": w.word, "matrix": matrix, "position": list(w.position), "value": value}
+        assert run(capsys, [*argv, "--format", "json"]) == (0, json.dumps(record) + "\n", "")
+        assert run(capsys, argv) == (0, (
+            f"word: {w.word}\nmatrix: {json.dumps(matrix)}\n"
+            f"entry: ({w.position[0]},{w.position[1]})\nvalue: {value}\n"
+        ), "")
 
     def test_depth_must_be_positive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -571,13 +601,13 @@ class TestHelp:
             "extremal word; brute: enumerate two half-depth rows (default: lucas)")
 
 
-def run_python(*args):
+def run_python(*args, timeout=120, **kwargs):
     """A fresh interpreter that imports this checkout's matmonoid."""
     src = str(Path(matmonoid.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path), **kwargs,
     )
 
 
@@ -633,6 +663,37 @@ def commands(*names):
     )
 
 
+NINES = "9" * 5000
+# Inputs past a limit, each with the exit code it ends in.
+PROBES = {
+    "tree-depth-40": (["tree", "--u", "1", "--v", "1", "--depth", "40"], 1),
+    "brute-depth-40": (["mu", "--method", "brute", "--u", "1", "--v", "1", "--depth", "40"], 1),
+    "mu-depth-10^12": (["mu", *UV, "--depth", "1000000000000"], 1),
+    "mu-depth-1e3": (["mu", *UV, "--depth", "1e3"], 2),
+    "mu-depth-5000-nines": (["mu", *UV, "--depth", NINES], 2),
+    "verify-max-depth-301": (["verify", "--max-depth", "301"], 1),
+    "hash-p-4": (["hash", *UV, "--p", "4"], 1),
+    "bound-p-1": (["bound", *UV, "--p", "1"], 1),
+    "hash-u-0": (["hash", "--u", "0", "--v", "3", "--p", "5"], 2),
+    "witness-u-10^23": (["witness", "--u", str(10**23), "--v", "1", "--depth", "5"], 0),
+    "hash-missing-input": (["hash", *UV, "--p", "5", "--input", "missing.bits"], 1),
+    "witness-depth-10^11": (["witness", *UV, "--depth", "100000000000"], 1),
+    "bound-p-5000-nines": (["bound", *UV, "--p", NINES], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", PROBES.values(), ids=PROBES)
+def test_probe_ends_in_its_exit_code_not_a_traceback(tmp_path, argv, code):
+    # A 2 GB address space, in the child only: a runaway allocation fails fast.
+    limit = 2 * 2**30
+    proc = run_python(
+        "-m", "matmonoid.cli", *argv, timeout=20, cwd=tmp_path, stdin=subprocess.DEVNULL,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestImportOnDemand:
     """Each command imports only the modules it runs."""
 
@@ -665,8 +726,8 @@ class TestImportOnDemand:
     def test_no_command_loads_dataclasses_or_inspect(self, argv):
         assert not imported_modules(argv) & {"dataclasses", "inspect"}
 
-    @commands("mu", "bound", "hash-hex", "tree")
-    def test_json_loads_only_to_print_json(self, argv):
+    @commands()
+    def test_no_command_loads_json(self, argv):
         assert "json" not in imported_modules(argv)
 
     def test_package_never_imports_the_cli(self):

@@ -138,6 +138,10 @@ class TestPolyN:
         assert ONE.degree == 0
         assert PolyN((0, 0, 3)).degree == 2
 
+    def test_only_zero_is_false(self):
+        assert not ZERO
+        assert ONE and X and PolyN((0, 0, 3))
+
     def test_coefficient_reads_past_degree(self):
         f = PolyN((1, 2))
         assert (f.coefficient(0), f.coefficient(1), f.coefficient(5)) == (1, 2, 0)
